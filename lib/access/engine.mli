@@ -74,6 +74,23 @@ val baseline : ctx -> baseline
 val baseline_verdict : baseline -> verdict
 (** The fault-free verdict ({!analyze}[ ctx None]). *)
 
+val edge_routes : ctx -> (int * int * (int * int) list) array
+(** The dataflow edges as the engine indexes them: per edge index, its
+    source and destination vertex (0 = scan-in, 1 = scan-out, [2 + i] =
+    segment [i]) and its mux route ((mux, input) pairs, consumer first). *)
+
+val coarse_cone :
+  ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t * int list
+(** The static cone every delta and lane sweep restricts its fixpoint to:
+    the dataflow vertices reached from the summary's damage through the
+    reach/co-reach tables, closed under the writability cascade (a host
+    segment in the cone brings in the cones of the edges its
+    not-reset-matching steering bits drive), and the affected edges — the
+    seed edges of the damage plus those host edges of every host in the
+    cone — each listed once.  A sound over-approximation under any base
+    state.  The cascade closure is precomputed per vertex in {!baseline}
+    (DESIGN.md §19), so this is a union of bitsets. *)
+
 val cone : ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t option
 (** The fault's cone of influence as a set of segment indices: an
     over-approximation of the segments whose verdict (or writability) can
@@ -239,6 +256,9 @@ val stack : ctx -> baseline -> Ftrsn_fault.Fault.summary -> stacked
 (** [stack ctx base sm] is the secondary baseline under [sm]
     (the fault-free stacked state when [sm] is benign). *)
 
+val of_baseline : baseline -> stacked
+(** The fault-free stacked state: deltas on it are {!analyze_delta}'s. *)
+
 val stacked_verdict : stacked -> verdict
 (** The verdict under the stacked summary (= [analyze_delta ctx base sm]'s
     verdict). *)
@@ -275,6 +295,37 @@ val analyze_lanes_on :
     chunked by {!lane_plan} into {!analyze_lane_batch_on} sweeps.  Per
     summary bit-identical to {!analyze_delta_on}; a glitchy stacked root
     degrades to all-scalar (counted in [ls_fast]) instead of raising. *)
+
+(** {2 Allocation-free counting sweeps} *)
+
+type lane_ws
+(** A lane-batch workspace: every per-vertex, per-edge and per-segment
+    array one lane sweep needs, sized for one {!ctx}.  Allocate one per
+    worker and reuse it for every batch; it is mutable scratch, never to
+    be shared between domains or threads. *)
+
+val lane_workspace : ctx -> lane_ws
+
+val lane_batch_counts :
+  ctx ->
+  lane_ws ->
+  stacked ->
+  Ftrsn_fault.Fault.summary array ->
+  (int -> int -> int -> int -> unit) ->
+  lane_stats
+(** [lane_batch_counts ctx ws stk sms f] sweeps one batch exactly like
+    {!analyze_lane_batch_on} and calls [f l segs bits cone] for every
+    lane [l]: the accessible segments and bits of the lane's verdict and
+    its cone size, read straight from the lane words — no verdict array
+    is built.  Equal to {!accessible_count}/{!accessible_bits} of
+    {!analyze_delta_on} on [sms.(l)].  [ws] must come from
+    {!lane_workspace} on the same [ctx]. *)
+
+val delta_counts : ctx -> stacked -> Ftrsn_fault.Fault.summary -> int * int * int
+(** [(segs, bits, cone)] of {!analyze_delta_on}: accessible segments and
+    bits of the verdict, and the cone size.  The benign and kill-only
+    fast paths are answered from the stacked verdict's counts without
+    copying any array. *)
 
 type witness = {
   w_vertices : int list;

@@ -1,7 +1,7 @@
 module Digraph = Ftrsn_topo.Digraph
 module Order = Ftrsn_topo.Order
 module Acyclic = Ftrsn_topo.Acyclic
-module Menger = Ftrsn_topo.Menger
+module Dominator = Ftrsn_topo.Dominator
 module Simplex = Ftrsn_lp.Simplex
 module Bnb = Ftrsn_ilp.Bnb
 module Mcf = Ftrsn_flow.Mincost
@@ -11,11 +11,9 @@ type problem = {
   levels : int array;
   root : int;
   sink : int;
+  d_in : int array;
+  d_out : int array;
 }
-
-let of_netlist net =
-  let g, levels = Ftrsn_rsn.Netlist.dataflow_graph net in
-  { graph = g; levels; root = 0; sink = 1 }
 
 let edge_cost p (i, j) =
   if Digraph.has_edge p.graph i j then 0 else 1 + p.levels.(j) - p.levels.(i)
@@ -23,12 +21,12 @@ let edge_cost p (i, j) =
 (* A pair (i, j) may carry a new edge: the level constraint of E_P, no
    self-loops, nothing leaves the sink or enters the root, and it must not
    already exist. *)
-let potential_pair p i j =
+let potential_pair g levels ~root ~sink i j =
   i <> j
-  && i <> p.sink
-  && j <> p.root
-  && p.levels.(j) >= p.levels.(i)
-  && not (Digraph.has_edge p.graph i j)
+  && i <> sink
+  && j <> root
+  && levels.(j) >= levels.(i)
+  && not (Digraph.has_edge g i j)
 
 (* Existing degrees are counted per physical interconnect, not per
    collapsed dataflow edge: a segment has exactly one scan-in port, and
@@ -38,28 +36,44 @@ let potential_pair p i j =
    second, physically distinct input (a new mux) at every vertex — which
    is why the paper observes "at least one additional multiplexer at the
    scan-in port of every scan segment" (§IV-C).  Out-edges are distinct
-   interconnects (one per consumer port) and count individually. *)
-let demands p =
-  let n = Digraph.vertex_count p.graph in
+   interconnects (one per consumer port) and count individually.
+
+   The potential counts only matter up to 2, so each scan stops as soon
+   as the count saturates: the demands are computed once per problem, in
+   [problem_of_graph], and the pair scans end after a few candidates. *)
+let compute_demands g levels ~root ~sink =
+  let n = Digraph.vertex_count g in
+  let pair = potential_pair g levels ~root ~sink in
   let d_in = Array.make n 0 and d_out = Array.make n 0 in
   for t = 0 to n - 1 do
-    if t <> p.root then begin
-      let potential = ref 1 in
-      for i = 0 to n - 1 do
-        if potential_pair p i t then incr potential
+    if t <> root then begin
+      let potential = ref 1 and i = ref 0 in
+      while !potential < 2 && !i < n do
+        if pair !i t then incr potential;
+        incr i
       done;
       d_in.(t) <- max 0 (min 2 !potential - 1)
     end;
-    if t <> p.sink then begin
-      let potential = ref (Digraph.out_degree p.graph t) in
-      for j = 0 to n - 1 do
-        if potential_pair p t j then incr potential
+    if t <> sink then begin
+      let potential = ref (Digraph.out_degree g t) and j = ref 0 in
+      while !potential < 2 && !j < n do
+        if pair t !j then incr potential;
+        incr j
       done;
-      d_out.(t) <-
-        max 0 (min 2 !potential - Digraph.out_degree p.graph t)
+      d_out.(t) <- max 0 (min 2 !potential - Digraph.out_degree g t)
     end
   done;
   (d_in, d_out)
+
+let problem_of_graph graph ~levels ~root ~sink =
+  let d_in, d_out = compute_demands graph levels ~root ~sink in
+  { graph; levels; root; sink; d_in; d_out }
+
+let of_netlist net =
+  let graph, levels = Ftrsn_rsn.Netlist.dataflow_graph net in
+  problem_of_graph graph ~levels ~root:0 ~sink:1
+
+let demands p = (p.d_in, p.d_out)
 
 type solution = {
   new_edges : (int * int) list;
@@ -74,11 +88,12 @@ type solution = {
 let solve_ilp ?(max_nodes = 100_000) p =
   let n = Digraph.vertex_count p.graph in
   let d_in, d_out = demands p in
+  let potential_pair = potential_pair p.graph p.levels ~root:p.root ~sink:p.sink in
   (* Enumerate variables: one per potential new edge. *)
   let vars = ref [] in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if potential_pair p i j then vars := (i, j) :: !vars
+      if potential_pair i j then vars := (i, j) :: !vars
     done
   done;
   let vars = Array.of_list (List.rev !vars) in
@@ -145,7 +160,7 @@ let solve_ilp ?(max_nodes = 100_000) p =
    oriented by vertex id, which keeps the result acyclic by construction
    (every chosen edge strictly increases (level, id) lexicographically). *)
 let candidate p window i j =
-  potential_pair p i j
+  potential_pair p.graph p.levels ~root:p.root ~sink:p.sink i j
   && p.levels.(j) - p.levels.(i) <= window
   && (p.levels.(i) <> p.levels.(j) || i < j)
 
@@ -251,11 +266,40 @@ let solve p =
   | Some s -> s
   | None -> failwith "Augment.solve: augmentation infeasible"
 
+(* Two vertex-independent paths from a terminal [t] to [v] exist iff [v]
+   has no dominator besides [t] and itself once every edge leaving [t]
+   is subdivided by a fresh vertex.  Subdivision makes [t] and [v]
+   non-adjacent, so Menger's theorem applies in its vertex-cut form: two
+   internally disjoint paths exist iff no single vertex separates them,
+   i.e. iff [idom v = t].  The paths map back one-to-one because every
+   path leaves [t] through its own subdivision vertex — in particular a
+   direct edge [t -> v] counts once, exactly as in the flow formulation
+   ({!Ftrsn_topo.Menger.vertex_disjoint_paths}).  [edges] lists the
+   graph's edges as seen from [t] (the transpose for the sink side). *)
+let terminal_idoms ~n ~t edges =
+  let g = Digraph.create ~size_hint:(2 * n) () in
+  Digraph.add_vertices g n;
+  List.iter
+    (fun (u, w) ->
+      if u = t then begin
+        let s = Digraph.add_vertex g in
+        Digraph.add_edge g t s;
+        Digraph.add_edge g s w
+      end
+      else Digraph.add_edge g u w)
+    edges;
+  Dominator.idoms g ~root:t
+
 let verify p new_edges =
   let g = Digraph.copy p.graph in
   List.iter (fun (i, j) -> Digraph.add_edge g i j) new_edges;
   let n = Digraph.vertex_count g in
   let d_in, d_out = demands p in
+  let edges = Digraph.edges g in
+  let from_root = terminal_idoms ~n ~t:p.root edges in
+  let to_sink =
+    terminal_idoms ~n ~t:p.sink (List.rev_map (fun (u, w) -> (w, u)) edges)
+  in
   let problems = ref [] in
   if not (Order.is_acyclic g) then problems := "augmented graph is cyclic" :: !problems;
   for v = 0 to n - 1 do
@@ -265,16 +309,12 @@ let verify p new_edges =
       problems := Printf.sprintf "vertex %d out-degree demand unmet" v :: !problems;
     (* Semantic check: two vertex-independent paths wherever the degree
        demands claimed it possible. *)
-    if v <> p.root && Digraph.in_degree g v >= 2 then begin
-      if Menger.vertex_disjoint_paths g ~src:p.root ~dst:v < 2 then
-        problems :=
-          Printf.sprintf "vertex %d lacks 2 root paths" v :: !problems
-    end;
-    if v <> p.sink && Digraph.out_degree g v >= 2 then begin
-      if Menger.vertex_disjoint_paths g ~src:v ~dst:p.sink < 2 then
-        problems :=
-          Printf.sprintf "vertex %d lacks 2 sink paths" v :: !problems
-    end
+    if v <> p.root && Digraph.in_degree g v >= 2 && from_root.(v) <> p.root
+    then
+      problems := Printf.sprintf "vertex %d lacks 2 root paths" v :: !problems;
+    if v <> p.sink && Digraph.out_degree g v >= 2 && to_sink.(v) <> p.sink
+    then
+      problems := Printf.sprintf "vertex %d lacks 2 sink paths" v :: !problems
   done;
   match !problems with
   | [] -> Ok ()

@@ -31,10 +31,19 @@ type problem = {
   levels : int array;            (** topological levels *)
   root : int;                    (** primary scan-in vertex *)
   sink : int;                    (** primary scan-out vertex *)
+  d_in : int array;              (** {!demands}, in-degree half *)
+  d_out : int array;             (** {!demands}, out-degree half *)
 }
+(** Treat every field as immutable: the demand arrays are computed once
+    by {!of_netlist} and shared by both solvers and {!verify}. *)
+
+val problem_of_graph :
+  Ftrsn_topo.Digraph.t -> levels:int array -> root:int -> sink:int -> problem
+(** The augmentation problem of a DAG with the given levels and
+    terminals, with its degree demands. *)
 
 val of_netlist : Ftrsn_rsn.Netlist.t -> problem
-(** The augmentation problem of a netlist's dataflow graph. *)
+(** [problem_of_graph] of a netlist's dataflow graph (root 0, sink 1). *)
 
 val edge_cost : problem -> int * int -> int
 (** [1 + level j - level i] for a potential edge (0 for existing edges). *)
@@ -42,7 +51,8 @@ val edge_cost : problem -> int * int -> int
 val demands : problem -> int array * int array
 (** [(d_in, d_out)] per vertex: the missing in/out degree after accounting
     for existing edges, clamped by what the potential edge set can provide
-    (root in-degree and sink out-degree are never demanded). *)
+    (root in-degree and sink out-degree are never demanded).  Precomputed
+    by {!of_netlist}; this is a field read. *)
 
 type solution = {
   new_edges : (int * int) list;  (** augmenting edges not in the original *)
@@ -67,6 +77,14 @@ val solve : problem -> solution
 
 val verify : problem -> (int * int) list -> (unit, string) result
 (** Checks that the original graph plus [new_edges] is acyclic, meets the
-    degree demands, and actually gives every vertex two vertex-independent
-    paths from the root and to the sink (Menger check) — the semantic
-    requirement of §III-C. *)
+    degree demands, and actually gives every vertex with in-degree
+    (out-degree) at least 2 two vertex-independent paths from the root
+    (to the sink) — the semantic requirement of §III-C.  The path check
+    runs on two dominator trees, one from the root with the root's
+    out-edges subdivided and one from the sink on the transpose with the
+    sink's in-edges subdivided: after subdivision a vertex has two
+    internally disjoint paths to the terminal iff its immediate dominator
+    is the terminal (Menger's theorem in vertex-cut form; DESIGN.md §19).
+    Linear-ish in the graph size, where one max-flow per vertex
+    ({!Ftrsn_topo.Menger}, kept as the test oracle) is quadratic.
+    [Error] joins one message per violation, last vertex first. *)

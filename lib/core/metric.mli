@@ -220,7 +220,11 @@ val evaluate :
     without subsumption / vivification / variable elimination, and the
     [s_simp_*] / [s_subsumed] counters stay zero.  Default on.  Verdicts
     and metric values are identical either way; only speed and the
-    volatile solver counters change. *)
+    volatile solver counters change.
+
+    @raise Invalid_argument ["Metric.evaluate: empty fault list"] when the
+    model's universe is empty (a network without shadow bits has no
+    transient faults), whatever the engine, reduction or domain count. *)
 
 val evaluate_faults :
   Ftrsn_access.Engine.ctx -> Ftrsn_fault.Fault.t list -> result

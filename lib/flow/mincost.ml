@@ -3,6 +3,69 @@
    reduced costs, which stay non-negative because input costs are
    non-negative and potentials are updated after every augmentation. *)
 
+(* A binary heap of (dist, vertex) pairs for Dijkstra, unboxed into two
+   parallel int arrays and owned by the network, so the thousands of
+   Dijkstra passes of one solve allocate nothing per push.  Only the
+   distances are compared, and whole pairs move together, so the pop
+   order is exactly that of a heap of tuples. *)
+module Heap = struct
+  type h = { mutable d : int array; mutable v : int array; mutable len : int }
+
+  let make () = { d = Array.make 64 0; v = Array.make 64 0; len = 0 }
+
+  let clear h = h.len <- 0
+
+  let swap h i j =
+    let td = h.d.(i) and tv = h.v.(i) in
+    h.d.(i) <- h.d.(j);
+    h.v.(i) <- h.v.(j);
+    h.d.(j) <- td;
+    h.v.(j) <- tv
+
+  let push h d v =
+    if h.len = Array.length h.d then begin
+      h.d <- Array.append h.d (Array.make h.len 0);
+      h.v <- Array.append h.v (Array.make h.len 0)
+    end;
+    h.d.(h.len) <- d;
+    h.v.(h.len) <- v;
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while
+      !i > 0
+      &&
+      let p = (!i - 1) / 2 in
+      h.d.(p) > h.d.(!i)
+    do
+      let p = (!i - 1) / 2 in
+      swap h p !i;
+      i := p
+    done
+
+  (* Removes the minimum; read it with [top_d]/[top_v] first. *)
+  let pop h =
+    h.len <- h.len - 1;
+    h.d.(0) <- h.d.(h.len);
+    h.v.(0) <- h.v.(h.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < h.len && h.d.(l) < h.d.(!m) then m := l;
+      if r < h.len && h.d.(r) < h.d.(!m) then m := r;
+      if !m = !i then continue := false
+      else begin
+        swap h !m !i;
+        i := !m
+      end
+    done
+
+  let top_d h = h.d.(0)
+  let top_v h = h.v.(0)
+  let is_empty h = h.len = 0
+end
+
 type t = {
   n : int;
   mutable head : int array array;
@@ -16,6 +79,7 @@ type t = {
   pot : int array;     (* Johnson potentials *)
   dist : int array;
   prev_arc : int array;
+  heap : Heap.h;       (* Dijkstra's queue, reused by every pass *)
 }
 
 let inf = max_int / 4
@@ -35,6 +99,7 @@ let create ~n =
     pot = Array.make n 0;
     dist = Array.make n inf;
     prev_arc = Array.make n (-1);
+    heap = Heap.make ();
   }
 
 let ensure_arc_room g =
@@ -79,79 +144,34 @@ let reset g =
   Array.blit g.cap0 0 g.cap 0 g.arcs;
   Array.fill g.pot 0 g.n 0
 
-(* A small binary heap of (dist, vertex) pairs for Dijkstra. *)
-module Heap = struct
-  type h = { mutable a : (int * int) array; mutable len : int }
-
-  let make () = { a = Array.make 64 (0, 0); len = 0 }
-
-  let push h x =
-    if h.len = Array.length h.a then
-      h.a <- Array.append h.a (Array.make h.len (0, 0));
-    h.a.(h.len) <- x;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      fst h.a.(p) > fst h.a.(!i)
-    do
-      let p = (!i - 1) / 2 in
-      let t = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- t;
-      i := p
-    done
-
-  let pop h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.len && fst h.a.(l) < fst h.a.(!m) then m := l;
-      if r < h.len && fst h.a.(r) < fst h.a.(!m) then m := r;
-      if !m = !i then continue := false
-      else begin
-        let t = h.a.(!m) in
-        h.a.(!m) <- h.a.(!i);
-        h.a.(!i) <- t;
-        i := !m
-      end
-    done;
-    top
-
-  let is_empty h = h.len = 0
-end
-
 (* One Dijkstra pass on reduced costs; fills [dist] and [prev_arc].
    Returns true iff [t] is reachable in the residual graph. *)
 let dijkstra g s t =
   Array.fill g.dist 0 g.n inf;
   Array.fill g.prev_arc 0 g.n (-1);
-  let h = Heap.make () in
+  let h = g.heap in
+  Heap.clear h;
   g.dist.(s) <- 0;
-  Heap.push h (0, s);
+  Heap.push h 0 s;
   while not (Heap.is_empty h) do
-    let d, v = Heap.pop h in
-    if d <= g.dist.(v) then
-      Array.iter
-        (fun a ->
-          if g.cap.(a) > 0 then begin
-            let w = g.dst.(a) in
-            let rc = g.cost.(a) + g.pot.(v) - g.pot.(w) in
-            let nd = d + rc in
-            if nd < g.dist.(w) then begin
-              g.dist.(w) <- nd;
-              g.prev_arc.(w) <- a;
-              Heap.push h (nd, w)
-            end
-          end)
-        g.head.(v)
+    let d = Heap.top_d h and v = Heap.top_v h in
+    Heap.pop h;
+    if d <= g.dist.(v) then begin
+      let arcs = g.head.(v) in
+      for k = 0 to Array.length arcs - 1 do
+        let a = arcs.(k) in
+        if g.cap.(a) > 0 then begin
+          let w = g.dst.(a) in
+          let rc = g.cost.(a) + g.pot.(v) - g.pot.(w) in
+          let nd = d + rc in
+          if nd < g.dist.(w) then begin
+            g.dist.(w) <- nd;
+            g.prev_arc.(w) <- a;
+            Heap.push h nd w
+          end
+        end
+      done
+    end
   done;
   g.dist.(t) < inf
 

@@ -55,20 +55,49 @@ let disjoint a b =
 
 let inter_into dst src =
   same_capacity dst src "inter_into";
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (Array.unsafe_get d i land Array.unsafe_get s i)
+  done
 
 let union_into dst src =
   same_capacity dst src "union_into";
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (Array.unsafe_get d i lor Array.unsafe_get s i)
+  done
+
+let union_changed dst src =
+  same_capacity dst src "union_changed";
+  let d = dst.words and s = src.words in
+  let grew = ref false in
+  for i = 0 to Array.length d - 1 do
+    let w = Array.unsafe_get d i in
+    let w' = w lor Array.unsafe_get s i in
+    if w' <> w then begin
+      Array.unsafe_set d i w';
+      grew := true
+    end
+  done;
+  !grew
 
 let andn_into dst src =
   same_capacity dst src "andn_into";
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) land lnot w) src.words
+  let d = dst.words and s = src.words in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (Array.unsafe_get d i land lnot (Array.unsafe_get s i))
+  done
 
+(* Zero words are skipped whole, so sparse sets iterate in time
+   proportional to their words plus their members' words. *)
 let iter f s =
-  for i = 0 to s.n - 1 do
-    if s.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
-    then f i
+  let ws = s.words in
+  for wi = 0 to Array.length ws - 1 do
+    let w = Array.unsafe_get ws wi in
+    if w <> 0 then
+      for b = 0 to bits_per_word - 1 do
+        if w land (1 lsl b) <> 0 then f ((wi * bits_per_word) + b)
+      done
   done
 
 let elements s =

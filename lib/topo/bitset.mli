@@ -33,6 +33,11 @@ val inter_into : t -> t -> unit
 val union_into : t -> t -> unit
 (** [union_into dst src] replaces [dst] with [dst ∪ src]. *)
 
+val union_changed : t -> t -> bool
+(** [union_changed dst src] is {!union_into} that also reports whether
+    [dst] grew — the convergence test of monotone set fixpoints.
+    @raise Invalid_argument on capacity mismatch. *)
+
 val andn_into : t -> t -> unit
 (** [andn_into dst src] replaces [dst] with [dst \ src].
     @raise Invalid_argument on capacity mismatch. *)

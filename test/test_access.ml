@@ -643,6 +643,276 @@ let prop_lanes_on_equal_delta_on =
       done;
       !ok)
 
+(* ---- cascade-closed cones and counting sweeps ---- *)
+
+(* The per-summary cascade the engine ran before its reach tables were
+   closed, kept as the oracle of [Engine.coarse_cone]: plain reach and
+   co-reach tables, the seed unions, then the host rule re-applied over
+   every segment until nothing changes.  Every table is rebuilt here from
+   the engine's edge list and the netlist alone.  Returns the vertex cone
+   and the affected edges, ascending. *)
+let cascade_oracle net ctx =
+  let module Bitset = Ftrsn_topo.Bitset in
+  let module Digraph = Ftrsn_topo.Digraph in
+  let module Order = Ftrsn_topo.Order in
+  let edges = Engine.edge_routes ctx in
+  let nsegs = Netlist.num_segments net in
+  let nv = nsegs + 2 and nedges = Array.length edges in
+  let g =
+    Digraph.of_edges ~n:nv
+      (Array.to_list (Array.map (fun (u, v, _) -> (u, v)) edges))
+  in
+  let acyclic = Order.is_acyclic g in
+  let table f =
+    Array.init nv (fun v ->
+        if acyclic then f v
+        else begin
+          let b = Bitset.create nv in
+          Bitset.fill b;
+          b
+        end)
+  in
+  let reach = table (fun v -> Order.reachable g ~from:v) in
+  let coreach = table (fun v -> Order.co_reachable g ~to_:v) in
+  let in_edges = Array.make nv [] and out_edges = Array.make nv [] in
+  let mux_edges = Array.make (Netlist.num_muxes net) [] in
+  let host_all = Array.make nsegs [] and host_nonreset = Array.make nsegs [] in
+  let add_once a i ei = if not (List.mem ei a.(i)) then a.(i) <- ei :: a.(i) in
+  Array.iteri
+    (fun ei (u, v, route) ->
+      add_once out_edges u ei;
+      add_once in_edges v ei;
+      List.iter
+        (fun (m, k) ->
+          add_once mux_edges m ei;
+          Array.iteri
+            (fun b ctrl ->
+              match ctrl with
+              | Netlist.Ctrl_shadow { cseg; cbit } ->
+                  let required = k land (1 lsl b) <> 0 in
+                  add_once host_all cseg ei;
+                  if net.Netlist.segs.(cseg).Netlist.seg_reset.(cbit) <> required
+                  then add_once host_nonreset cseg ei
+              | _ -> ())
+            net.Netlist.muxes.(m).Netlist.mux_addr)
+        route)
+    edges;
+  fun (sm : Fault.summary) ->
+    let cv = Bitset.create nv in
+    let affected = Array.make nedges false in
+    let mark ei = affected.(ei) <- true in
+    if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then begin
+      Bitset.fill cv;
+      Array.fill affected 0 nedges true
+    end
+    else begin
+      let add_v v =
+        Bitset.union_into cv reach.(v);
+        Bitset.union_into cv coreach.(v)
+      in
+      let add_edge ei =
+        mark ei;
+        let u, v, _ = edges.(ei) in
+        Bitset.union_into cv reach.(v);
+        Bitset.union_into cv coreach.(u)
+      in
+      let through i = add_v (i + 2) in
+      let local i = Bitset.add cv (i + 2) in
+      List.iter through sm.Fault.sm_hard_block;
+      List.iter through sm.Fault.sm_corrupt_vertex;
+      List.iter
+        (fun i ->
+          through i;
+          List.iter mark in_edges.(i + 2))
+        sm.Fault.sm_corrupt_in;
+      List.iter
+        (fun i ->
+          through i;
+          List.iter mark out_edges.(i + 2))
+        sm.Fault.sm_corrupt_out;
+      List.iter local sm.Fault.sm_kill_write;
+      List.iter local sm.Fault.sm_kill_read;
+      List.iter (fun m -> List.iter add_edge mux_edges.(m)) sm.Fault.sm_mux_out;
+      List.iter
+        (fun (m, _) -> List.iter add_edge mux_edges.(m))
+        sm.Fault.sm_mux_in;
+      List.iter
+        (fun (m, _, _) -> List.iter add_edge mux_edges.(m))
+        sm.Fault.sm_locked_addr;
+      List.iter
+        (fun (i, _, _) -> List.iter add_edge host_all.(i))
+        sm.Fault.sm_stuck_shadow;
+      let applied = Array.make nsegs false in
+      let continue_ = ref true in
+      while !continue_ do
+        continue_ := false;
+        for i = 0 to nsegs - 1 do
+          if
+            (not applied.(i)) && host_nonreset.(i) <> [] && Bitset.mem cv (i + 2)
+          then begin
+            applied.(i) <- true;
+            List.iter add_edge host_nonreset.(i);
+            continue_ := true
+          end
+        done
+      done
+    end;
+    let aff = ref [] in
+    for ei = nedges - 1 downto 0 do
+      if affected.(ei) then aff := ei :: !aff
+    done;
+    (cv, !aff)
+
+(* Every class summary of every structural fault model, plus a strided
+   sample of pairwise unions (the cones of stacked deltas). *)
+let all_models = [ Fault.Stuck; Fault.Bridge; Fault.Select; Fault.Transient ]
+
+let cone_summaries ~models net =
+  let sms =
+    List.concat_map
+      (fun model ->
+        List.map
+          (fun c -> c.Fault.cls_summary)
+          (Fault.collapse net (Fault.universe ~model net)))
+      models
+    |> Array.of_list
+  in
+  let n = Array.length sms in
+  let stride = max 1 (n / 24) in
+  let unions = ref [] in
+  for i = 0 to n - 1 do
+    if i mod stride = 0 then
+      for j = 0 to n - 1 do
+        if j mod stride = (i / stride) mod stride then
+          unions := Fault.summary_union sms.(i) sms.(j) :: !unions
+      done
+  done;
+  Array.append sms (Array.of_list !unions)
+
+(* The first summary whose closed cone differs from the oracle's, with
+   a description of the difference. *)
+let cone_mismatch ?(models = all_models) net =
+  let ctx = Engine.make_ctx net in
+  let base = Engine.baseline ctx in
+  let oracle = cascade_oracle net ctx in
+  Array.fold_left
+    (fun acc sm ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          let cv, aff = Engine.coarse_cone ctx base sm in
+          let ocv, oaff = oracle sm in
+          let sorted = List.sort compare aff in
+          if not (Ftrsn_topo.Bitset.equal cv ocv) then Some "vertex cone"
+          else if sorted <> oaff then Some "affected edges"
+          else if List.sort_uniq compare aff <> sorted then
+            Some "duplicate affected edge"
+          else None)
+    None (cone_summaries ~models net)
+
+let test_closed_cone_itc02_ft () =
+  List.iter
+    (fun (name, models) ->
+      let soc = Option.get (Ftrsn_itc02.Itc02.find name) in
+      let net = Ftrsn_itc02.Itc02.rsn soc in
+      let ft = (Ftrsn_core.Pipeline.synthesize net).Ftrsn_core.Pipeline.ft in
+      List.iter
+        (fun (what, n) ->
+          check (Alcotest.option Alcotest.string)
+            (Printf.sprintf "%s%s: closed cone = cascade" name what)
+            None (cone_mismatch ~models n))
+        [ ("", net); ("-ft", ft) ])
+    [ ("u226", all_models); ("d695", [ Fault.Stuck ]) ]
+
+let prop_closed_cone_random =
+  QCheck.Test.make ~name:"closed cone = per-summary cascade (random nets)"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 12)) ()
+      in
+      let ft =
+        match Ftrsn_core.Pipeline.synthesize net with
+        | r -> Some r.Ftrsn_core.Pipeline.ft
+        | exception Failure _ -> None
+      in
+      cone_mismatch net = None
+      && match ft with None -> true | Some ft -> cone_mismatch ft = None)
+
+(* Counting sweeps against [count ∘ analyze_delta_on]: the scalar
+   [delta_counts] on every summary, and [lane_batch_counts] through ONE
+   workspace reused across every batch and every stacked base (fault-free
+   first, then a strided sample of primaries). *)
+let counts_mismatch ?(models = [ Fault.Stuck; Fault.Bridge; Fault.Select ])
+    ?(primaries = 8) net =
+  let ctx = Engine.make_ctx net in
+  let base = Engine.baseline ctx in
+  let sms =
+    Array.of_list
+      (List.concat_map
+         (fun model ->
+           List.map
+             (fun c -> c.Fault.cls_summary)
+             (Fault.collapse net (Fault.universe ~model net)))
+         models)
+  in
+  let ws = Engine.lane_workspace ctx in
+  let n = Array.length sms in
+  let stride = max 1 (n / primaries) in
+  let stacks =
+    Engine.of_baseline base
+    :: List.filter_map
+         (fun i ->
+           if i mod stride = 0 then Some (Engine.stack ctx base sms.(i)) else None)
+         (List.init n Fun.id)
+  in
+  let _, batches = Engine.lane_plan base sms in
+  let bad = ref None in
+  List.iter
+    (fun stk ->
+      let expect =
+        Array.map
+          (fun sm ->
+            let v, cone = Engine.analyze_delta_on ctx stk sm in
+            (Engine.accessible_count v, Engine.accessible_bits ctx v, cone))
+          sms
+      in
+      Array.iteri
+        (fun i sm ->
+          if !bad = None && Engine.delta_counts ctx stk sm <> expect.(i) then
+            bad := Some "delta_counts")
+        sms;
+      List.iter
+        (fun idxs ->
+          let batch = Array.map (fun i -> sms.(i)) idxs in
+          ignore
+            (Engine.lane_batch_counts ctx ws stk batch (fun l segs bits cone ->
+                 if !bad = None && (segs, bits, cone) <> expect.(idxs.(l)) then
+                   bad := Some "lane_batch_counts")))
+        batches)
+    stacks;
+  !bad
+
+let test_counts_itc02_ft () =
+  let net = Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226")) in
+  let ft = (Ftrsn_core.Pipeline.synthesize net).Ftrsn_core.Pipeline.ft in
+  let counts = counts_mismatch ~models:[ Fault.Stuck ] ~primaries:2 in
+  check (Alcotest.option Alcotest.string) "u226: counts = count . analyze_delta"
+    None (counts net);
+  check (Alcotest.option Alcotest.string)
+    "u226-ft: counts = count . analyze_delta" None (counts ft)
+
+let prop_counts_random =
+  QCheck.Test.make ~name:"class counts = count . analyze_delta (random nets)"
+    ~count:15
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 10)) ()
+      in
+      counts_mismatch net = None)
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -706,4 +976,10 @@ let suite =
       test_vectors_roundtrip_consistent;
     Testseed.to_alcotest prop_lanes_equal_scalar;
     Testseed.to_alcotest prop_lanes_on_equal_delta_on;
+    Alcotest.test_case "closed cone = cascade (u226, d695, FT)" `Quick
+      test_closed_cone_itc02_ft;
+    Testseed.to_alcotest_in ~file:"test_access" prop_closed_cone_random;
+    Alcotest.test_case "class counts = count . analyze_delta (u226, FT)" `Quick
+      test_counts_itc02_ft;
+    Testseed.to_alcotest_in ~file:"test_access" prop_counts_random;
   ]

@@ -192,7 +192,32 @@ let test_engines_agree_small_ft () =
    both engines) must be bit-identical to the naive per-fault sweep in
    every verdict-derived field. *)
 
+(* A model can have an empty universe on a given network (no shadow
+   bits: no transient faults).  There is no metric to compare then:
+   every evaluator must raise the documented error instead. *)
+let empty_universe_raises ?sample net model =
+  let name which =
+    Printf.sprintf "%s/%s: %s on the empty universe" net.Netlist.net_name
+      (Fault.model_to_string model)
+      which
+  in
+  List.iter
+    (fun (which, run) ->
+      Alcotest.check_raises (name which)
+        (Invalid_argument "Metric.evaluate: empty fault list")
+        (fun () -> ignore (run ())))
+    [
+      ("brute structural", fun () -> Metric.evaluate ?sample ~model ~reduce:false net);
+      ("reduced structural", fun () -> Metric.evaluate ?sample ~model net);
+      ("2-domain", fun () -> Metric.evaluate ?sample ~model ~domains:2 net);
+      ("reduced BMC", fun () -> Metric.evaluate ?sample ~model ~engine:`Bmc net);
+      ( "brute BMC",
+        fun () -> Metric.evaluate ?sample ~model ~engine:`Bmc ~reduce:false net );
+    ]
+
 let reduced_equals_brute ?sample net model =
+  if Fault.universe ~model net = [] then empty_universe_raises ?sample net model
+  else
   let brute = Metric.evaluate ?sample ~model ~reduce:false net in
   let reduced = Metric.evaluate ?sample ~model net in
   let name which =
@@ -260,6 +285,14 @@ let prop_models_reduced_equals_brute =
       List.iter (fun model -> reduced_equals_brute net model)
         Fault.all_models;
       true)
+
+(* Pinned regression for the property above: this random net has no
+   shadow bits, so its transient universe is empty. *)
+let test_models_empty_universe () =
+  let net = Ftrsn_rsn.Random_net.generate ~seed:277396 ~segments:6 () in
+  check bool_t "seed 277396: empty transient universe" true
+    (Fault.universe ~model:Fault.Transient net = []);
+  List.iter (fun model -> reduced_equals_brute net model) Fault.all_models
 
 let prop_models_engines_agree =
   QCheck.Test.make
@@ -423,6 +456,8 @@ let suite =
     Alcotest.test_case "transient faults recoverable on SIB tree" `Quick
       test_transient_recoverable;
     Testseed.to_alcotest_in ~file:seed_file prop_models_reduced_equals_brute;
+    Alcotest.test_case "per model: empty universe raises (seed 277396)" `Quick
+      test_models_empty_universe;
     Testseed.to_alcotest_in ~file:seed_file prop_models_engines_agree;
     Alcotest.test_case "certified = plain per model (small SIB)" `Slow
       test_certified_models_small;

@@ -425,12 +425,12 @@ let test_fault_model_wire () =
 (* Pool behaviour                                                      *)
 
 let metric_q ?(with_stats = false) ?(engine = `Structural)
-    ?(model = Fault.Stuck) ?sample spec =
+    ?(model = Fault.Stuck) ?(domains = 1) ?sample spec =
   Query.Metric
     {
       Query.mq_net = spec;
       mq_sample = sample;
-      mq_domains = 1;
+      mq_domains = domains;
       mq_engine = engine;
       mq_model = model;
       mq_reduce = true;
@@ -626,7 +626,26 @@ let prop_concurrent_interleaving =
          let net = tiny_net () in
          Fault.to_string net (List.hd (Fault.universe net))
        in
+       (* The FT rework's structural sweeps run lane batches through a
+          per-worker workspace; on two domains inside each of several
+          threads, no two workers may ever share one. *)
+       let small_ft = { small with Query.ns_ft = true } in
        [
+         metric_q small_ft;
+         metric_q ~domains:2 small_ft;
+         Query.Pairs
+           {
+             Query.pq_net = small_ft;
+             pq_fault_sample = None;
+             pq_pair_sample = None;
+             pq_domains = 2;
+             pq_engine = `Structural;
+             pq_model = Fault.Stuck;
+             pq_reduce = true;
+             pq_inprocess = true;
+             pq_lanes = true;
+             pq_with_stats = false;
+           };
          metric_q tiny;
          metric_q ~engine:`Bmc tiny;
          metric_q small;
