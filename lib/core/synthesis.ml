@@ -28,10 +28,26 @@ type stats = {
    segment i. *)
 let seg_of_vertex v = v - 2
 
-let node_of_vertex v =
+(* The [Seg i] node values of [net], one per segment, reusing the value
+   [net] already holds where it has one: the fault-tolerant netlist then
+   shares them with the original instead of holding copies. *)
+let seg_nodes (net : Netlist.t) =
+  let nodes = Array.make (Array.length net.segs) None in
+  let note = function
+    | Netlist.Seg i as n when nodes.(i) = None -> nodes.(i) <- Some n
+    | _ -> ()
+  in
+  Array.iter (fun (s : Netlist.segment) -> note s.seg_input) net.segs;
+  Array.iter (fun (m : Netlist.mux) -> Array.iter note m.mux_inputs) net.muxes;
+  note net.out_src;
+  Array.mapi
+    (fun i n -> match n with Some n -> n | None -> Netlist.Seg i)
+    nodes
+
+let node_of_vertex seg_node v =
   if v = 0 then Netlist.Scan_in
   else if v = 1 then invalid_arg "Synthesis: sink used as edge source"
-  else Netlist.Seg (seg_of_vertex v)
+  else seg_node.(seg_of_vertex v)
 
 let run ?(options = default_options) (net : Netlist.t) ~new_edges =
   List.iter
@@ -40,6 +56,7 @@ let run ?(options = default_options) (net : Netlist.t) ~new_edges =
       if u = 1 then invalid_arg "Synthesis: edge out of the sink")
     new_edges;
   let nsegs = Array.length net.segs in
+  let seg_node = seg_nodes net in
   (* Mutable working copies of the segment records. *)
   let seg_len = Array.map (fun s -> s.Netlist.seg_len) net.segs in
   let seg_shadow = Array.map (fun s -> s.Netlist.seg_shadow) net.segs in
@@ -96,7 +113,7 @@ let run ?(options = default_options) (net : Netlist.t) ~new_edges =
       List.iteri
         (fun k u ->
           let name = Printf.sprintf "aug_%d_%d" v k in
-          let src = node_of_vertex u in
+          let src = node_of_vertex seg_node u in
           let ctrl_src = ctrl_hosted_at u in
           let mux =
             if options.opt_dual_host then begin
@@ -157,13 +174,24 @@ let run ?(options = default_options) (net : Netlist.t) ~new_edges =
         else { mx with Netlist.mux_tmr = options.opt_tmr })
       net.muxes
   in
+  (* Netlists are never mutated, so segments with equal reset vectors
+     share one array. *)
+  let resets = Hashtbl.create 16 in
+  let reset_array bits =
+    match Hashtbl.find_opt resets bits with
+    | Some a -> a
+    | None ->
+        let a = Array.of_list bits in
+        Hashtbl.add resets bits a;
+        a
+  in
   let segs =
     Array.init nsegs (fun i ->
         {
           (net.segs.(i)) with
           Netlist.seg_len = seg_len.(i);
           seg_shadow = seg_shadow.(i);
-          seg_reset = Array.of_list seg_reset.(i);
+          seg_reset = reset_array seg_reset.(i);
           seg_input = seg_input.(i);
         })
   in

@@ -450,32 +450,56 @@ type clas = {
   cls_summary : summary;
 }
 
-let collapse (net : Netlist.t) faults =
+(* The partition both collapse views share: the classes' summaries and
+   weights, numbered in order of first appearance, and each fault's class
+   index in input order.  Only the distinct summaries outlive the scan,
+   and the scan reads each fault once, so a caller that drops the list
+   lets its consumed prefix die during the scan. *)
+let partition (net : Netlist.t) faults =
   let masked = port_mask_table net in
-  let tbl : (summary, t list ref * int ref) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in
-  List.iter
-    (fun f ->
+  let index : (summary, int) Hashtbl.t = Hashtbl.create 256 in
+  let of_fault = Array.make (List.length faults) 0 in
+  let sms = ref [] and n = ref 0 and weights = ref (Array.make 256 0) in
+  List.iteri
+    (fun k f ->
       let sm = summarize ~port_masked:masked net f in
-      match Hashtbl.find_opt tbl sm with
-      | Some (members, w) ->
-          members := f :: !members;
-          w := !w + weight net f
-      | None ->
-          let cell = (ref [ f ], ref (weight net f)) in
-          Hashtbl.add tbl sm cell;
-          order := (sm, cell) :: !order)
+      let c =
+        match Hashtbl.find_opt index sm with
+        | Some c -> c
+        | None ->
+            let c = !n in
+            Hashtbl.add index sm c;
+            sms := sm :: !sms;
+            incr n;
+            if c = Array.length !weights then
+              weights := Array.append !weights (Array.make c 0);
+            c
+      in
+      of_fault.(k) <- c;
+      !weights.(c) <- !weights.(c) + weight net f)
     faults;
-  List.rev_map
-    (fun (sm, (members, w)) ->
-      let members = List.rev !members in
+  (Array.of_list (List.rev !sms), Array.sub !weights 0 !n, of_fault)
+
+let collapse (net : Netlist.t) faults =
+  let sms, weights, of_fault = partition net faults in
+  let members = Array.make (Array.length sms) [] in
+  let fs = Array.of_list faults in
+  for k = Array.length fs - 1 downto 0 do
+    members.(of_fault.(k)) <- fs.(k) :: members.(of_fault.(k))
+  done;
+  List.init (Array.length sms) (fun c ->
       {
-        cls_rep = List.hd members;
-        cls_members = members;
-        cls_weight = !w;
-        cls_summary = sm;
+        cls_rep = List.hd members.(c);
+        cls_members = members.(c);
+        cls_weight = weights.(c);
+        cls_summary = sms.(c);
       })
-    !order
+
+let collapse_counts (net : Netlist.t) faults =
+  let sms, weights, of_fault = partition net faults in
+  let sizes = Array.make (Array.length sms) 0 in
+  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) of_fault;
+  (sms, weights, sizes)
 
 let pp net fmt f =
   let seg i = Netlist.segment_name net i in

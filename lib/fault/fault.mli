@@ -187,5 +187,11 @@ val collapse : Ftrsn_rsn.Netlist.t -> t list -> clas list
     evaluating one representative per class with its class weight
     reproduces the unreduced metric bit for bit. *)
 
+val collapse_counts :
+  Ftrsn_rsn.Netlist.t -> t list -> summary array * int array * int array
+(** {!collapse} without the member lists: per class, in the same order,
+    its summary, its weight and its number of members.  For sweeps that
+    only count, it keeps no fault of the input list alive. *)
+
 val pp : Ftrsn_rsn.Netlist.t -> Format.formatter -> t -> unit
 val to_string : Ftrsn_rsn.Netlist.t -> t -> string
