@@ -13,8 +13,6 @@ let v_of_seg i = 2 + i
 let seg_of_v v = v - 2
 
 type edge = {
-  e_src : int;
-  e_dst : int;
   e_route : (int * int) list;  (* (mux, input index) pairs, consumer first *)
   (* Compiled steering requirements (performance: the metric evaluates the
      whole fault universe, so the per-edge checks must be flat arrays). *)
@@ -30,15 +28,49 @@ type edge = {
          a redundant detour, only taken when the default routes fail *)
 }
 
+(* Compressed sparse rows: row [r] lists [idx.(off.(r))] ..
+   [idx.(off.(r + 1) - 1)].  Every edge table the sweeps walk is one of
+   these, read with [for] loops: a [List.iter] over an [int list] row
+   allocates a closure per visit, and in OCaml 5 every minor collection
+   stops all domains (DESIGN.md §20). *)
+type csr = { off : int array; idx : int array }
+
+(* Rows from an item-to-rows relation: [rows_of x add] calls [add r] once
+   for each row [r] holding item [x].  Each row lists its items in
+   DESCENDING order — the order of the per-row lists the engine built
+   before, by prepending items in ascending order; edge visiting order
+   decides ties in [shortest_paths] and the traversal order of
+   [delta_full]. *)
+let csr nrows nitems rows_of =
+  let off = Array.make (nrows + 1) 0 in
+  for x = 0 to nitems - 1 do
+    rows_of x (fun r -> off.(r + 1) <- off.(r + 1) + 1)
+  done;
+  for r = 1 to nrows do
+    off.(r) <- off.(r) + off.(r - 1)
+  done;
+  let next = Array.sub off 0 nrows in
+  let idx = Array.make off.(nrows) 0 in
+  for x = nitems - 1 downto 0 do
+    rows_of x (fun r ->
+        idx.(next.(r)) <- x;
+        next.(r) <- next.(r) + 1)
+  done;
+  { off; idx }
+
+let row_length c r = c.off.(r + 1) - c.off.(r)
+
 type ctx = {
   net : Netlist.t;
   nsegs : int;
   nv : int;
   edges : edge array;
-  out_edges : int list array;  (* edge indices by source vertex *)
-  in_edges : int list array;   (* edge indices by destination vertex *)
-  mux_consumer : int array;    (* dataflow vertex fed by each mux *)
-  pi_successor : bool array;   (* vertex has a direct edge from scan-in *)
+  e_src : int array;         (* per edge: source vertex *)
+  e_dst : int array;         (* per edge: destination vertex *)
+  out_adj : csr;             (* per vertex: edges leaving it *)
+  in_adj : csr;              (* per vertex: edges entering it *)
+  mux_consumer : int array;  (* dataflow vertex fed by each mux *)
+  pi_successor : bool array; (* vertex has a direct edge from scan-in *)
 }
 
 let netlist ctx = ctx.net
@@ -70,7 +102,7 @@ let share tbl m i make =
       tbl.(m).(i) <- Some x;
       x
 
-let compile_edge sh (net : Netlist.t) src dst route =
+let compile_edge sh (net : Netlist.t) route =
   let dead = ref false in
   let detour = ref false in
   let shadow_reqs = ref [] in
@@ -99,8 +131,6 @@ let compile_edge sh (net : Netlist.t) src dst route =
         mx.mux_addr)
     route;
   {
-    e_src = src;
-    e_dst = dst;
     e_route = route;
     e_dead = !dead;
     e_shadow_reqs = Array.of_list !shadow_reqs;
@@ -121,25 +151,42 @@ let make_ctx (net : Netlist.t) =
   let nv = 2 + nsegs in
   let routes = Netlist.edge_routes net in
   let sh = shared_tables net in
-  let edges =
+  let ends =
     Hashtbl.fold
       (fun (src, dst) rs acc ->
-        List.rev_append (List.map (compile_edge sh net src dst) rs) acc)
+        List.rev_append
+          (List.map (fun r -> (src, dst, compile_edge sh net r)) rs)
+          acc)
       routes []
     |> Array.of_list
   in
-  let out_edges = Array.make nv [] in
-  let in_edges = Array.make nv [] in
+  let edges = Array.map (fun (_, _, e) -> e) ends in
+  let e_src = Array.map (fun (s, _, _) -> s) ends in
+  let e_dst = Array.map (fun (_, d, _) -> d) ends in
+  let nedges = Array.length edges in
   let mux_consumer = Array.make (Netlist.num_muxes net) (-1) in
   let pi_successor = Array.make nv false in
   Array.iteri
     (fun i e ->
-      out_edges.(e.e_src) <- i :: out_edges.(e.e_src);
-      in_edges.(e.e_dst) <- i :: in_edges.(e.e_dst);
-      if e.e_src = 0 then pi_successor.(e.e_dst) <- true;
-      Array.iter (fun (m, _) -> mux_consumer.(m) <- e.e_dst) e.e_muxes)
+      if e_src.(i) = 0 then pi_successor.(e_dst.(i)) <- true;
+      Array.iter (fun (m, _) -> mux_consumer.(m) <- e_dst.(i)) e.e_muxes)
     edges;
-  { net; nsegs; nv; edges; out_edges; in_edges; mux_consumer; pi_successor }
+  {
+    net;
+    nsegs;
+    nv;
+    edges;
+    e_src;
+    e_dst;
+    out_adj = csr nv nedges (fun ei add -> add e_src.(ei));
+    in_adj = csr nv nedges (fun ei add -> add e_dst.(ei));
+    mux_consumer;
+    pi_successor;
+  }
+
+let slice c r = Array.sub c.idx c.off.(r) (row_length c r)
+let out_edges ctx v = slice ctx.out_adj v
+let in_edges ctx v = slice ctx.in_adj v
 
 type verdict = {
   writable : bool array;
@@ -254,18 +301,54 @@ let effects_of_faults ctx faults =
 let effects_of_fault ctx (f : Fault.t option) =
   effects_of_faults ctx (Option.to_list f)
 
-(* Is an edge's data corrupted by the fault (mux data faults and the
+(* Scans of the effect lists, as top-level recursions: a closure handed
+   to [List.exists] would be allocated on every edge check. *)
+let rec mem_input m k = function
+  | [] -> false
+  | (m', k') :: rest -> (m' = m && k' = k) || mem_input m k rest
+
+(* Does a lock force address port (m, b) to [v] / away from [v]? *)
+let rec locked_to m b v = function
+  | [] -> false
+  | (m', b', v') :: rest -> (m' = m && b' = b && v' = v) || locked_to m b v rest
+
+let rec locked_off m b v = function
+  | [] -> false
+  | (m', b', v') :: rest ->
+      (m' = m && b' = b && v' <> v) || locked_off m b v rest
+
+(* Pins of shadow bit (s, b) measured against [v]: 0 none, 1 every pin
+   holds [v], 2 some pin holds the other value. *)
+let rec pin_state acc s b v = function
+  | [] -> acc
+  | (s', b', v') :: rest ->
+      let acc =
+        if s' = s && b' = b then if v' <> v then 2 else max acc 1 else acc
+      in
+      pin_state acc s b v rest
+
+(* Does shadow bit (s, b) start at [v]: the last upset entry on the bit
+   decides, [dflt] (its reset agreement) when there is none. *)
+let rec starts_at dflt s b v = function
+  | [] -> dflt
+  | (s', b', v') :: rest ->
+      starts_at (if s' = s && b' = b then v' = v else dflt) s b v rest
+
+(* Is edge [ei]'s data corrupted by the fault (mux data faults and the
    endpoint port faults)? *)
-let edge_corrupt eff edge =
-  (let bad = ref false in
-   Array.iter
-     (fun (m, k) ->
-       if eff.mux_out_bad.(m) then bad := true
-       else if List.mem (m, k) eff.mux_in_bad then bad := true)
-     edge.e_muxes;
-   !bad)
-  || (edge.e_src >= 2 && eff.corrupt_out.(seg_of_v edge.e_src))
-  || (edge.e_dst >= 2 && eff.corrupt_in.(seg_of_v edge.e_dst))
+let edge_corrupt ctx eff ei =
+  let muxes = ctx.edges.(ei).e_muxes in
+  let bad = ref false in
+  for j = 0 to Array.length muxes - 1 do
+    let m, k = muxes.(j) in
+    if eff.mux_out_bad.(m) || mem_input m k eff.mux_in_bad then bad := true
+  done;
+  !bad
+  || (let u = ctx.e_src.(ei) in
+      u >= 2 && eff.corrupt_out.(seg_of_v u))
+  ||
+  let w = ctx.e_dst.(ei) in
+  w >= 2 && eff.corrupt_in.(seg_of_v w)
 
 (* Can the muxes along an edge's route be steered to sensitize it, given
    the current set of writable segments?  A driver not (yet) writable must
@@ -276,56 +359,40 @@ let edge_steerable _ctx eff writable edge =
   && (eff.locked_addr = []
      ||
      let ok = ref true in
-     Array.iter
-       (fun (m', b', required) ->
-         List.iter
-           (fun (m, b, v) -> if m = m' && b = b' && v <> required then ok := false)
-           eff.locked_addr)
-       edge.e_addr_ports;
+     let ports = edge.e_addr_ports in
+     for p = 0 to Array.length ports - 1 do
+       let m, b, required = ports.(p) in
+       if locked_off m b required eff.locked_addr then ok := false
+     done;
      !ok)
   &&
   let ok = ref true in
-  Array.iter
-    (fun (port, cseg, cbit, required, reset_matches) ->
-      (* A port locked to the required value overrides its driver. *)
-      let locked_right =
-        List.exists (fun (m, b, v) -> (m, b) = port && v = required)
-          eff.locked_addr
-      in
-      if not locked_right then begin
-        (* Multi-fault effects can pin the same bit more than once — even
-           to both values.  The check must not depend on effect order (the
-           pair reduction relies on commutativity), so scan every entry:
-           any pin to the wrong value defeats the requirement (two
-           conflicting pins therefore kill the mux for both polarities), a
-           pin to the required value satisfies it, and an unpinned bit
-           falls back to the writability/reset rule. *)
-        let pinned = ref false and wrong = ref false in
-        List.iter
-          (fun (s', b', v) ->
-            if s' = cseg && b' = cbit then begin
-              pinned := true;
-              if v <> required then wrong := true
-            end)
-          eff.stuck_shadow;
-        if !wrong then ok := false
-        else if not !pinned then begin
+  let reqs = edge.e_shadow_reqs in
+  for r = 0 to Array.length reqs - 1 do
+    let (m, b), cseg, cbit, required, reset_matches = reqs.(r) in
+    (* A port locked to the required value overrides its driver. *)
+    if !ok && not (locked_to m b required eff.locked_addr) then
+      (* Multi-fault effects can pin the same bit more than once — even
+         to both values.  The check must not depend on effect order (the
+         pair reduction relies on commutativity), so scan every entry:
+         any pin to the wrong value defeats the requirement (two
+         conflicting pins therefore kill the mux for both polarities), a
+         pin to the required value satisfies it, and an unpinned bit
+         falls back to the writability/reset rule. *)
+      match pin_state 0 cseg cbit required eff.stuck_shadow with
+      | 2 -> ok := false
+      | 1 -> ()
+      | _ ->
           (* A transient upset replaces the bit's INITIAL value: a
              not-yet-writable host satisfies the requirement iff the
              value the bit actually starts at matches (the glitched
              value if upset, the reset value otherwise). *)
-          let starts_right = ref reset_matches in
-          (match eff.glitch_shadow with
-          | [] -> ()
-          | gl ->
-              List.iter
-                (fun (s', b', v) ->
-                  if s' = cseg && b' = cbit then starts_right := v = required)
-                gl);
-          if (not writable.(cseg)) && not !starts_right then ok := false
-        end
-      end)
-    edge.e_shadow_reqs;
+          if
+            (not writable.(cseg))
+            && not
+                 (starts_at reset_matches cseg cbit required eff.glitch_shadow)
+          then ok := false
+  done;
   !ok
 
 (* Vertex can shift data through (ports always; segments unless hard
@@ -345,31 +412,30 @@ let reach_from_pi ctx eff writable ~clean =
     Queue.add v_pi q;
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
-      List.iter
-        (fun ei ->
-          let e = ctx.edges.(ei) in
-          let v = e.e_dst in
-          if
-            (not ok.(v))
-            && v <> v_po
-            (* Data integrity (and the ability to shift) matter only in
-               clean mode: the non-clean prefix/suffix of an access just
-               has to exist topologically — segments behind the target
-               may hold frozen or corrupted data without affecting it.
-               Membership only needs clean data INTO v; v's own through-
-               corruption is checked when extending beyond v. *)
-            && ((not clean) || shiftable eff v)
-            && (not clean || not (edge_corrupt eff e))
-            && edge_steerable ctx eff writable e
-          then begin
-            (* In clean mode the source must also pass data through
-               uncorrupted (except the scan-in port itself). *)
-            if (not clean) || u = v_pi || clean_through eff u then begin
-              ok.(v) <- true;
-              Queue.add v q
-            end
-          end)
-        ctx.out_edges.(u)
+      for k = ctx.out_adj.off.(u) to ctx.out_adj.off.(u + 1) - 1 do
+        let ei = ctx.out_adj.idx.(k) in
+        let v = ctx.e_dst.(ei) in
+        if
+          (not ok.(v))
+          && v <> v_po
+          (* Data integrity (and the ability to shift) matter only in
+             clean mode: the non-clean prefix/suffix of an access just
+             has to exist topologically — segments behind the target
+             may hold frozen or corrupted data without affecting it.
+             Membership only needs clean data INTO v; v's own through-
+             corruption is checked when extending beyond v. *)
+          && ((not clean) || shiftable eff v)
+          && (not clean || not (edge_corrupt ctx eff ei))
+          && edge_steerable ctx eff writable ctx.edges.(ei)
+        then begin
+          (* In clean mode the source must also pass data through
+             uncorrupted (except the scan-in port itself). *)
+          if (not clean) || u = v_pi || clean_through eff u then begin
+            ok.(v) <- true;
+            Queue.add v q
+          end
+        end
+      done
     done
   end;
   ok
@@ -383,22 +449,21 @@ let coreach_to_po ctx eff writable ~clean =
     Queue.add v_po q;
     while not (Queue.is_empty q) do
       let v = Queue.pop q in
-      List.iter
-        (fun ei ->
-          let e = ctx.edges.(ei) in
-          let u = e.e_src in
-          if
-            (not ok.(u))
-            && u <> v_pi
-            && ((not clean) || shiftable eff u)
-            && (not clean
-               || ((not (edge_corrupt eff e)) && clean_through eff u))
-            && edge_steerable ctx eff writable e
-          then begin
-            ok.(u) <- true;
-            Queue.add u q
-          end)
-        ctx.in_edges.(v)
+      for k = ctx.in_adj.off.(v) to ctx.in_adj.off.(v + 1) - 1 do
+        let ei = ctx.in_adj.idx.(k) in
+        let u = ctx.e_src.(ei) in
+        if
+          (not ok.(u))
+          && u <> v_pi
+          && ((not clean) || shiftable eff u)
+          && (not clean
+             || ((not (edge_corrupt ctx eff ei)) && clean_through eff u))
+          && edge_steerable ctx eff writable ctx.edges.(ei)
+        then begin
+          ok.(u) <- true;
+          Queue.add u q
+        end
+      done
     done
   end;
   ok
@@ -493,22 +558,21 @@ let shortest_paths ctx ~src ~edge_ok ~vertex_ok =
     else begin
       let u = !best in
       done_.(u) <- true;
-      List.iter
-        (fun ei ->
-          let e = ctx.edges.(ei) in
-          let v = e.e_dst in
-          if (not done_.(v)) && vertex_ok v && edge_ok e then begin
-            let d =
-              dist.(u) + weight v
-              + if e.e_detour then detour_penalty else 0
-            in
-            if d < dist.(v) then begin
-              dist.(v) <- d;
-              prev.(v) <- u;
-              prev_edge.(v) <- ei
-            end
-          end)
-        ctx.out_edges.(u)
+      for k = ctx.out_adj.off.(u) to ctx.out_adj.off.(u + 1) - 1 do
+        let ei = ctx.out_adj.idx.(k) in
+        let v = ctx.e_dst.(ei) in
+        if (not done_.(v)) && vertex_ok v && edge_ok ei then begin
+          let d =
+            dist.(u) + weight v
+            + if ctx.edges.(ei).e_detour then detour_penalty else 0
+          in
+          if d < dist.(v) then begin
+            dist.(v) <- d;
+            prev.(v) <- u;
+            prev_edge.(v) <- ei
+          end
+        end
+      done
     end
   done;
   (dist, prev, prev_edge)
@@ -540,19 +604,21 @@ let access_witness ctx fault s =
     let s_any = coreach_to_po ctx eff writable ~clean:false in
     (* Minimum-bit prefix over clean steerable edges, then minimum-bit
        suffix over shiftable steerable edges. *)
-    let prefix_edge_ok e =
-      (not (edge_corrupt eff e))
-      && edge_steerable ctx eff writable e
-      && (e.e_src = v_pi || (rw.(e.e_src) && clean_through eff e.e_src))
+    let prefix_edge_ok ei =
+      let u = ctx.e_src.(ei) in
+      (not (edge_corrupt ctx eff ei))
+      && edge_steerable ctx eff writable ctx.edges.(ei)
+      && (u = v_pi || (rw.(u) && clean_through eff u))
     in
     let prefix_vertex_ok v = v = target || (v <> v_po && rw.(v)) in
     let _, pre_prev, pre_edge =
       shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
         ~vertex_ok:prefix_vertex_ok
     in
-    let suffix_edge_ok e =
-      edge_steerable ctx eff writable e
-      && (e.e_src = target || s_any.(e.e_src))
+    let suffix_edge_ok ei =
+      let u = ctx.e_src.(ei) in
+      edge_steerable ctx eff writable ctx.edges.(ei)
+      && (u = target || s_any.(u))
     in
     let suffix_vertex_ok v = v = v_po || s_any.(v) in
     let _, suf_prev, suf_edge =
@@ -602,14 +668,14 @@ type baseline = {
   b_hosts : int array;
       (* segments hosting at least one not-reset-matching steering
          requirement (non-empty [b_host_edges_nonreset]), ascending *)
-  b_host_edges_all : int list array;
+  b_host_edges_all : csr;
       (* per segment: edges with a shadow steering requirement hosted in
          the segment (any reset polarity) *)
-  b_host_edges_nonreset : int list array;
+  b_host_edges_nonreset : csr;
       (* per segment: edges with a hosted requirement whose reset value
          does NOT match — the only requirements that consult the host's
          writability *)
-  b_mux_edges : int list array;  (* per mux: edges routed through it *)
+  b_mux_edges : csr;  (* per mux: edges routed through it *)
   b_steer : bool array;
       (* per edge: steerability in the fault-free network under the final
          fault-free writability.  Valid for any edge not affected by the
@@ -623,8 +689,8 @@ type baseline = {
   b_cyclic : bool;
       (* dataflow graph has a cycle: every tight analysis falls back to
          the coarse static cone *)
-  b_live_out : int list array;
-  b_live_in : int list array;
+  b_live_out : csr;
+  b_live_in : csr;
       (* per vertex: the baseline-steerable ("live") edges leaving /
          entering it — the subgraph every fault-free access uses *)
   b_live_reach : bool array;
@@ -651,7 +717,7 @@ type baseline = {
 let baseline_verdict b = b.b_verdict
 
 let edge_routes ctx =
-  Array.map (fun e -> (e.e_src, e.e_dst, e.e_route)) ctx.edges
+  Array.mapi (fun ei e -> (ctx.e_src.(ei), ctx.e_dst.(ei), e.e_route)) ctx.edges
 
 (* Accessible segments and bits of a verdict. *)
 let verdict_counts ctx v =
@@ -704,12 +770,14 @@ let close_cascade ctx g ~nonreset =
       (* Cl {v} minus v itself, folded into [dst]. *)
       let hosted dst v =
         if v >= 2 then
-          List.iter
-            (fun ei ->
-              let e = ctx.edges.(ei) in
-              if Bitset.union_changed dst creach.(e.e_dst) then grew := true;
-              if Bitset.union_changed dst ccoreach.(e.e_src) then grew := true)
-            nonreset.(seg_of_v v)
+          for k = nonreset.off.(seg_of_v v) to nonreset.off.(seg_of_v v + 1) - 1
+          do
+            let ei = nonreset.idx.(k) in
+            if Bitset.union_changed dst creach.(ctx.e_dst.(ei)) then
+              grew := true;
+            if Bitset.union_changed dst ccoreach.(ctx.e_src.(ei)) then
+              grew := true
+          done
       in
       while !grew do
         grew := false;
@@ -736,42 +804,40 @@ let close_cascade ctx g ~nonreset =
 let baseline ctx =
   let b_verdict = analyze ctx None in
   let nv = ctx.nv in
+  let nedges = Array.length ctx.edges in
   let g =
     Digraph.of_edges ~n:nv
-      (Array.to_list (Array.map (fun e -> (e.e_src, e.e_dst)) ctx.edges))
+      (List.init nedges (fun ei -> (ctx.e_src.(ei), ctx.e_dst.(ei))))
   in
-  let b_host_edges_all = Array.make ctx.nsegs [] in
-  let b_host_edges_nonreset = Array.make ctx.nsegs [] in
-  let b_mux_edges = Array.make (Netlist.num_muxes ctx.net) [] in
-  Array.iteri
-    (fun ei e ->
-      let seen_all = ref [] and seen_nr = ref [] in
-      Array.iter
-        (fun (_, cseg, _, _, reset_matches) ->
-          if not (List.mem cseg !seen_all) then begin
-            seen_all := cseg :: !seen_all;
-            b_host_edges_all.(cseg) <- ei :: b_host_edges_all.(cseg)
-          end;
-          if (not reset_matches) && not (List.mem cseg !seen_nr) then begin
-            seen_nr := cseg :: !seen_nr;
-            b_host_edges_nonreset.(cseg) <- ei :: b_host_edges_nonreset.(cseg)
-          end)
-        e.e_shadow_reqs;
-      let seen_m = ref [] in
-      Array.iter
-        (fun (m, _) ->
-          if not (List.mem m !seen_m) then begin
-            seen_m := m :: !seen_m;
-            b_mux_edges.(m) <- ei :: b_mux_edges.(m)
-          end)
-        e.e_muxes)
-    ctx.edges;
+  (* Host rows: the edge once per distinct segment hosting one of its
+     shadow requirements (any reset polarity / not-reset-matching only). *)
+  let hosts ~nonreset ei add =
+    let reqs = ctx.edges.(ei).e_shadow_reqs in
+    let listed (_, _, _, _, reset_matches) = not (nonreset && reset_matches) in
+    Array.iteri
+      (fun r ((_, cseg, _, _, _) as req) ->
+        let same_host ((_, c, _, _, _) as q) = c = cseg && listed q in
+        if listed req && not (Array.exists same_host (Array.sub reqs 0 r))
+        then add cseg)
+      reqs
+  in
+  let b_host_edges_all = csr ctx.nsegs nedges (hosts ~nonreset:false) in
+  let b_host_edges_nonreset = csr ctx.nsegs nedges (hosts ~nonreset:true) in
+  let b_mux_edges =
+    csr (Netlist.num_muxes ctx.net) nedges (fun ei add ->
+        let muxes = ctx.edges.(ei).e_muxes in
+        Array.iteri
+          (fun j (m, _) ->
+            if not (Array.exists (fun (m', _) -> m' = m) (Array.sub muxes 0 j))
+            then add m)
+          muxes)
+  in
   let b_creach, b_ccoreach, b_cyclic =
     close_cascade ctx g ~nonreset:b_host_edges_nonreset
   in
   let b_hosts =
     List.filter
-      (fun i -> b_host_edges_nonreset.(i) <> [])
+      (fun i -> row_length b_host_edges_nonreset i > 0)
       (List.init ctx.nsegs Fun.id)
     |> Array.of_list
   in
@@ -779,19 +845,16 @@ let baseline ctx =
   let b_steer =
     Array.map (edge_steerable ctx eff0 b_verdict.writable) ctx.edges
   in
-  let b_live_out = Array.make nv [] in
-  let b_live_in = Array.make nv [] in
-  for ei = Array.length ctx.edges - 1 downto 0 do
-    if b_steer.(ei) then begin
-      let e = ctx.edges.(ei) in
-      b_live_out.(e.e_src) <- ei :: b_live_out.(e.e_src);
-      b_live_in.(e.e_dst) <- ei :: b_live_in.(e.e_dst)
-    end
-  done;
+  (* Read as sets only (reachability, region marks): order is immaterial. *)
+  let live ends =
+    csr nv nedges (fun ei add -> if b_steer.(ei) then add ends.(ei))
+  in
+  let b_live_out = live ctx.e_src in
+  let b_live_in = live ctx.e_dst in
   (* Plain reachability over the live subgraph; with no corruption and no
      blocks these coincide with both the clean and the any-data baseline
      traversals ([b_verdict] was computed from exactly these edges). *)
-  let bfs adj ~root ~skip =
+  let bfs adj next ~root ~skip =
     let ok = Array.make nv false in
     ok.(root) <- true;
     let stack = ref [ root ] in
@@ -800,20 +863,18 @@ let baseline ctx =
       | [] -> ()
       | u :: rest ->
           stack := rest;
-          List.iter
-            (fun ei ->
-              let e = ctx.edges.(ei) in
-              let v = if adj == b_live_out then e.e_dst else e.e_src in
-              if (not ok.(v)) && v <> skip then begin
-                ok.(v) <- true;
-                stack := v :: !stack
-              end)
-            adj.(u)
+          for k = adj.off.(u) to adj.off.(u + 1) - 1 do
+            let v = next.(adj.idx.(k)) in
+            if (not ok.(v)) && v <> skip then begin
+              ok.(v) <- true;
+              stack := v :: !stack
+            end
+          done
     done;
     ok
   in
-  let b_live_reach = bfs b_live_out ~root:v_pi ~skip:v_po in
-  let b_live_coreach = bfs b_live_in ~root:v_po ~skip:v_pi in
+  let b_live_reach = bfs b_live_out ctx.e_dst ~root:v_pi ~skip:v_po in
+  let b_live_coreach = bfs b_live_in ctx.e_src ~root:v_po ~skip:v_pi in
   (* Founded canonical certificate forest: re-run the writability fixpoint
      in rounds, recording for each round a concrete scan-in prefix tree
      and scan-out suffix tree over the edges the PREVIOUS rounds enable.
@@ -824,7 +885,6 @@ let baseline ctx =
      forward and any-data backward traversals are both plain BFS over the
      enabled edges, and the final writable set coincides with
      [b_verdict.writable]. *)
-  let nedges = Array.length ctx.edges in
   let b_cert_round_of = Array.make ctx.nsegs (-1) in
   let cert_rounds = ref [] in
   let w = Array.make ctx.nsegs false in
@@ -844,18 +904,19 @@ let baseline ctx =
         | [] -> ()
         | u :: rest ->
             stack := rest;
-            List.iter
-              (fun ei ->
-                if enabled.(ei) then begin
-                  let e = ctx.edges.(ei) in
-                  let v = if fwd then e.e_dst else e.e_src in
-                  if (not seen.(v)) && v <> skip then begin
-                    seen.(v) <- true;
-                    parent.(v) <- ei;
-                    stack := v :: !stack
-                  end
-                end)
-              (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
+            let adj = if fwd then ctx.out_adj else ctx.in_adj in
+            let next = if fwd then ctx.e_dst else ctx.e_src in
+            for k = adj.off.(u) to adj.off.(u + 1) - 1 do
+              let ei = adj.idx.(k) in
+              if enabled.(ei) then begin
+                let v = next.(ei) in
+                if (not seen.(v)) && v <> skip then begin
+                  seen.(v) <- true;
+                  parent.(v) <- ei;
+                  stack := v :: !stack
+                end
+              end
+            done
       done;
       parent
     in
@@ -912,7 +973,7 @@ let only_kill_write (sm : Fault.summary) =
 let local_kill_write base (sm : Fault.summary) =
   only_kill_write sm
   && List.for_all
-       (fun i -> base.b_host_edges_nonreset.(i) = [])
+       (fun i -> row_length base.b_host_edges_nonreset i = 0)
        sm.Fault.sm_kill_write
 
 (* Coarse static cone: data/steering damage at a vertex or edge taints
@@ -927,95 +988,121 @@ let local_kill_write base (sm : Fault.summary) =
    The cascade is precomputed: [b_creach]/[b_ccoreach] are already
    closed under it (see [close_cascade]), and closure distributes over
    union, so the cone is the plain union of the seeds' closed tables —
-   no per-summary fixpoint.  [cv] is overwritten. *)
+   no per-summary fixpoint.  The seed walks are top-level recursions
+   with no closure, so a cone costs no allocation (the lane sweep builds
+   one per lane). *)
+
+(* The closed tables of every edge in row [r] of [rows]. *)
+let cone_row ctx base cv rows r =
+  for k = rows.off.(r) to rows.off.(r + 1) - 1 do
+    let ei = rows.idx.(k) in
+    Bitset.union_into cv base.b_creach.(ctx.e_dst.(ei));
+    Bitset.union_into cv base.b_ccoreach.(ctx.e_src.(ei))
+  done
+
+(* Data damage at a segment: everything it reaches and is reached by. *)
+let rec cone_through base cv = function
+  | [] -> ()
+  | i :: rest ->
+      Bitset.union_into cv base.b_creach.(v_of_seg i);
+      Bitset.union_into cv base.b_ccoreach.(v_of_seg i);
+      cone_through base cv rest
+
+(* Interface damage: the segment itself plus its host edges. *)
+let rec cone_local ctx base cv = function
+  | [] -> ()
+  | i :: rest ->
+      Bitset.add cv (v_of_seg i);
+      cone_row ctx base cv base.b_host_edges_nonreset i;
+      cone_local ctx base cv rest
+
+let rec cone_muxes ctx base cv = function
+  | [] -> ()
+  | m :: rest ->
+      cone_row ctx base cv base.b_mux_edges m;
+      cone_muxes ctx base cv rest
+
+let rec cone_inputs ctx base cv = function
+  | [] -> ()
+  | (m, _) :: rest ->
+      cone_row ctx base cv base.b_mux_edges m;
+      cone_inputs ctx base cv rest
+
+let rec cone_locks ctx base cv = function
+  | [] -> ()
+  | (m, _, _) :: rest ->
+      cone_row ctx base cv base.b_mux_edges m;
+      cone_locks ctx base cv rest
+
+let rec cone_pins ctx base cv = function
+  | [] -> ()
+  | (i, _, _) :: rest ->
+      cone_row ctx base cv base.b_host_edges_all i;
+      cone_pins ctx base cv rest
+
+(* [cv] is overwritten.  The cone of a summary union is the union of the
+   summaries' cones. *)
 let coarse_cone_into ctx base cv (sm : Fault.summary) =
   Bitset.clear cv;
   if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then Bitset.fill cv
   else begin
-    let edge ei =
-      let e = ctx.edges.(ei) in
-      Bitset.union_into cv base.b_creach.(e.e_dst);
-      Bitset.union_into cv base.b_ccoreach.(e.e_src)
-    in
-    let through i =
-      let v = v_of_seg i in
-      Bitset.union_into cv base.b_creach.(v);
-      Bitset.union_into cv base.b_ccoreach.(v)
-    in
-    let local i =
-      Bitset.add cv (v_of_seg i);
-      List.iter edge base.b_host_edges_nonreset.(i)
-    in
-    List.iter through sm.Fault.sm_hard_block;
-    List.iter through sm.Fault.sm_corrupt_vertex;
-    List.iter through sm.Fault.sm_corrupt_in;
-    List.iter through sm.Fault.sm_corrupt_out;
-    List.iter local sm.Fault.sm_kill_write;
-    List.iter local sm.Fault.sm_kill_read;
-    List.iter (fun m -> List.iter edge base.b_mux_edges.(m)) sm.Fault.sm_mux_out;
-    List.iter
-      (fun (m, _) -> List.iter edge base.b_mux_edges.(m))
-      sm.Fault.sm_mux_in;
-    List.iter
-      (fun (m, _, _) -> List.iter edge base.b_mux_edges.(m))
-      sm.Fault.sm_locked_addr;
-    List.iter
-      (fun (i, _, _) -> List.iter edge base.b_host_edges_all.(i))
-      sm.Fault.sm_stuck_shadow
+    cone_through base cv sm.Fault.sm_hard_block;
+    cone_through base cv sm.Fault.sm_corrupt_vertex;
+    cone_through base cv sm.Fault.sm_corrupt_in;
+    cone_through base cv sm.Fault.sm_corrupt_out;
+    cone_local ctx base cv sm.Fault.sm_kill_write;
+    cone_local ctx base cv sm.Fault.sm_kill_read;
+    cone_muxes ctx base cv sm.Fault.sm_mux_out;
+    cone_inputs ctx base cv sm.Fault.sm_mux_in;
+    cone_locks ctx base cv sm.Fault.sm_locked_addr;
+    cone_pins ctx base cv sm.Fault.sm_stuck_shadow
   end
 
-(* The coarse cone plus its affected edges: the edges whose predicates
-   the delta traversals must re-evaluate.  Those are the seed edges —
-   data corruption lives on the edges adjacent to the disturbed
-   segments, steering damage on the edges through the faulty muxes and
-   the pinned hosts — plus the not-reset-matching host edges of every
-   host inside the cone (their steering may change with the host's
-   writability).  Each edge is listed once. *)
-let coarse_cone ctx base (sm : Fault.summary) =
-  let cv = Bitset.create ctx.nv in
-  coarse_cone_into ctx base cv sm;
-  let nedges = Array.length ctx.edges in
-  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then
-    (cv, List.init nedges Fun.id)
+(* The coarse cone's affected edges: the edges whose predicates the delta
+   traversals must re-evaluate.  Those are the seed edges — data
+   corruption lives on the edges adjacent to the disturbed segments,
+   steering damage on the edges through the faulty muxes and the pinned
+   hosts — plus the not-reset-matching host edges of every host inside
+   the cone [cv] (their steering may change with the host's writability).
+   A set over edge indices, so each edge counts once. *)
+let mark_row aff rows r =
+  for k = rows.off.(r) to rows.off.(r + 1) - 1 do
+    Bitset.add aff rows.idx.(k)
+  done
+
+let affected_edges ctx base cv (sm : Fault.summary) =
+  let aff = Bitset.create (Array.length ctx.edges) in
+  if sm.Fault.sm_pi_dead || sm.Fault.sm_po_dead then Bitset.fill aff
   else begin
-    let seen = Bitset.create nedges in
-    let aff = ref [] in
-    let mark ei =
-      if not (Bitset.mem seen ei) then begin
-        Bitset.add seen ei;
-        aff := ei :: !aff
-      end
-    in
     List.iter
-      (fun i -> List.iter mark ctx.in_edges.(v_of_seg i))
+      (fun i -> mark_row aff ctx.in_adj (v_of_seg i))
       sm.Fault.sm_corrupt_in;
     List.iter
-      (fun i -> List.iter mark ctx.out_edges.(v_of_seg i))
+      (fun i -> mark_row aff ctx.out_adj (v_of_seg i))
       sm.Fault.sm_corrupt_out;
-    List.iter (fun m -> List.iter mark base.b_mux_edges.(m)) sm.Fault.sm_mux_out;
+    List.iter (fun m -> mark_row aff base.b_mux_edges m) sm.Fault.sm_mux_out;
     List.iter
-      (fun (m, _) -> List.iter mark base.b_mux_edges.(m))
+      (fun (m, _) -> mark_row aff base.b_mux_edges m)
       sm.Fault.sm_mux_in;
     List.iter
-      (fun (m, _, _) -> List.iter mark base.b_mux_edges.(m))
+      (fun (m, _, _) -> mark_row aff base.b_mux_edges m)
       sm.Fault.sm_locked_addr;
     List.iter
-      (fun (i, _, _) -> List.iter mark base.b_host_edges_all.(i))
+      (fun (i, _, _) -> mark_row aff base.b_host_edges_all i)
       sm.Fault.sm_stuck_shadow;
     Array.iter
       (fun h ->
         if Bitset.mem cv (v_of_seg h) then
-          List.iter mark base.b_host_edges_nonreset.(h))
-      base.b_hosts;
-    (cv, !aff)
-  end
+          mark_row aff base.b_host_edges_nonreset h)
+      base.b_hosts
+  end;
+  aff
 
-let cone_seg_list ctx cv =
-  let acc = ref [] in
-  for i = ctx.nsegs - 1 downto 0 do
-    if Bitset.mem cv (v_of_seg i) then acc := i :: !acc
-  done;
-  !acc
+(* The coarse cone plus its affected edges, ascending. *)
+let coarse_cone ctx base (sm : Fault.summary) =
+  let cv = Bitset.create ctx.nv in
+  coarse_cone_into ctx base cv sm;
+  (cv, Bitset.elements (affected_edges ctx base cv sm))
 
 (* ---- stacked secondary baselines ----
 
@@ -1072,194 +1159,210 @@ let of_baseline base =
    next secondary baseline). *)
 let delta_full ctx stk (cone_sm : Fault.summary) eff =
   let base = stk.s_base in
-  let cv, aff_list = coarse_cone ctx base cone_sm in
-  let cone_list = cone_seg_list ctx cv in
-    (* Seeded fixpoint: outside the cone the combined least fixpoint
-       equals the stacked one, so seeding with (stacked minus cone) starts
-       below the combined fixpoint and chaotic iteration converges to
-       exactly it.  Writability and steerability only grow during the
-       iteration, so the two supporting traversals (clean reach from
-       scan-in, any co-reach to scan-out) are maintained incrementally:
-       when a promoted segment makes a hosted edge steerable, the
-       traversals extend across that edge instead of restarting — total
-       work is about two traversals however deep the enabling chain. *)
-    let writable = Array.copy stk.s_verdict.writable in
-    List.iter (fun i -> writable.(i) <- false) cone_list;
-    (* Per-edge caches under the current writability: only the affected
-       edges ever deviate from the stacked state, and [steer] is
-       refreshed exactly when one of an edge's not-reset-matching hosts
-       is promoted; corruption is static per delta. *)
-    let steer = Array.copy stk.s_steer in
-    List.iter
-      (fun ei -> steer.(ei) <- edge_steerable ctx eff writable ctx.edges.(ei))
-      aff_list;
-    let corrupt = Array.copy stk.s_corrupt in
-    List.iter
-      (fun ei -> corrupt.(ei) <- edge_corrupt eff ctx.edges.(ei))
-      aff_list;
-    let rw = Array.make ctx.nv false in
-    let s_any = Array.make ctx.nv false in
-    (* Vertices that entered a traversal since the last promotion sweep. *)
-    let newly = ref [] in
-    let fstack = Array.make ctx.nv 0 in
-    let fsp = ref 0 in
-    let bstack = Array.make ctx.nv 0 in
-    let bsp = ref 0 in
-    let mark_f v =
-      rw.(v) <- true;
-      fstack.(!fsp) <- v;
-      incr fsp;
-      newly := v :: !newly
-    in
-    let mark_b v =
-      s_any.(v) <- true;
-      bstack.(!bsp) <- v;
-      incr bsp;
-      newly := v :: !newly
-    in
-    let drain_f () =
-      while !fsp > 0 do
-        decr fsp;
-        let u = fstack.(!fsp) in
-        if u = v_pi || clean_through eff u then
-          List.iter
-            (fun ei ->
-              let v = ctx.edges.(ei).e_dst in
-              if
-                (not rw.(v))
-                && v <> v_po
-                && shiftable eff v
-                && (not corrupt.(ei))
-                && steer.(ei)
-              then mark_f v)
-            ctx.out_edges.(u)
-      done
-    in
-    let drain_b () =
-      while !bsp > 0 do
-        decr bsp;
-        let v = bstack.(!bsp) in
-        List.iter
-          (fun ei ->
-            let u = ctx.edges.(ei).e_src in
-            if (not s_any.(u)) && u <> v_pi && steer.(ei) then mark_b u)
-          ctx.in_edges.(v)
-      done
-    in
-    if not eff.pi_dead then begin
-      mark_f v_pi;
-      drain_f ()
-    end;
-    mark_b v_po;
-    drain_b ();
-    let promote i =
-      if
-        (not writable.(i))
-        && rw.(v_of_seg i)
-        && s_any.(v_of_seg i)
-        && (not eff.kill_write.(i))
-        && not eff.pi_dead
-      then begin
-        writable.(i) <- true;
-        List.iter
-          (fun ei ->
-            if
-              (not steer.(ei))
-              && edge_steerable ctx eff writable ctx.edges.(ei)
-            then begin
-              steer.(ei) <- true;
-              let e = ctx.edges.(ei) in
-              if
-                rw.(e.e_src)
-                && (not rw.(e.e_dst))
-                && e.e_dst <> v_po
-                && shiftable eff e.e_dst
-                && (not corrupt.(ei))
-                && (e.e_src = v_pi || clean_through eff e.e_src)
-              then begin
-                mark_f e.e_dst;
-                drain_f ()
-              end;
-              if s_any.(e.e_dst) && (not s_any.(e.e_src)) && e.e_src <> v_pi
-              then begin
-                mark_b e.e_src;
-                drain_b ()
-              end
-            end)
-          base.b_host_edges_nonreset.(i)
-      end
-    in
-    newly := [];
-    List.iter promote cone_list;
-    let rec settle () =
-      match !newly with
-      | [] -> ()
-      | vs ->
-          newly := [];
-          List.iter (fun v -> if v >= 2 then promote (seg_of_v v)) vs;
-          settle ()
-    in
-    settle ();
-    (* Final traversals under the settled writability, reusing the edge
-       caches: any-data reach from scan-in, clean co-reach to scan-out. *)
-    let r_any = Array.make ctx.nv false in
-    r_any.(v_pi) <- true;
-    fstack.(0) <- v_pi;
-    fsp := 1;
+  let nsegs = ctx.nsegs and nedges = Array.length ctx.edges in
+  let out_adj = ctx.out_adj and in_adj = ctx.in_adj in
+  let cv = Bitset.create ctx.nv in
+  coarse_cone_into ctx base cv cone_sm;
+  let aff = affected_edges ctx base cv cone_sm in
+  (* Seeded fixpoint: outside the cone the combined least fixpoint
+     equals the stacked one, so seeding with (stacked minus cone) starts
+     below the combined fixpoint and chaotic iteration converges to
+     exactly it.  Writability and steerability only grow during the
+     iteration, so the two supporting traversals (clean reach from
+     scan-in, any co-reach to scan-out) are maintained incrementally:
+     when a promoted segment makes a hosted edge steerable, the
+     traversals extend across that edge instead of restarting — total
+     work is about two traversals however deep the enabling chain. *)
+  let writable = Array.copy stk.s_verdict.writable in
+  let ncone = ref 0 in
+  for i = 0 to nsegs - 1 do
+    if Bitset.mem cv (v_of_seg i) then begin
+      writable.(i) <- false;
+      incr ncone
+    end
+  done;
+  (* Per-edge caches under the current writability: only the affected
+     edges ever deviate from the stacked state, and [steer] is
+     refreshed exactly when one of an edge's not-reset-matching hosts
+     is promoted; corruption is static per delta. *)
+  let steer = Array.copy stk.s_steer in
+  let corrupt = Array.copy stk.s_corrupt in
+  for ei = 0 to nedges - 1 do
+    if Bitset.mem aff ei then begin
+      steer.(ei) <- edge_steerable ctx eff writable ctx.edges.(ei);
+      corrupt.(ei) <- edge_corrupt ctx eff ei
+    end
+  done;
+  let rw = Array.make ctx.nv false in
+  let s_any = Array.make ctx.nv false in
+  (* Vertices in the order they entered a traversal; [settle] consumes
+     them batch by batch.  A vertex enters each traversal once. *)
+  let newly = Array.make (2 * ctx.nv) 0 in
+  let nnew = ref 0 in
+  let fstack = Array.make ctx.nv 0 in
+  let fsp = ref 0 in
+  let bstack = Array.make ctx.nv 0 in
+  let bsp = ref 0 in
+  let mark_f v =
+    rw.(v) <- true;
+    fstack.(!fsp) <- v;
+    incr fsp;
+    newly.(!nnew) <- v;
+    incr nnew
+  in
+  let mark_b v =
+    s_any.(v) <- true;
+    bstack.(!bsp) <- v;
+    incr bsp;
+    newly.(!nnew) <- v;
+    incr nnew
+  in
+  let drain_f () =
     while !fsp > 0 do
       decr fsp;
       let u = fstack.(!fsp) in
-      List.iter
-        (fun ei ->
-          let v = ctx.edges.(ei).e_dst in
-          if (not r_any.(v)) && v <> v_po && steer.(ei) then begin
-            r_any.(v) <- true;
-            fstack.(!fsp) <- v;
-            incr fsp
-          end)
-        ctx.out_edges.(u)
-    done;
-    let s_clean = Array.make ctx.nv false in
-    if not eff.po_dead then begin
-      s_clean.(v_po) <- true;
-      bstack.(0) <- v_po;
-      bsp := 1;
-      while !bsp > 0 do
-        decr bsp;
-        let v = bstack.(!bsp) in
-        List.iter
-          (fun ei ->
-            let u = ctx.edges.(ei).e_src in
-            if
-              (not s_clean.(u))
-              && u <> v_pi
-              && shiftable eff u
-              && (not corrupt.(ei))
-              && clean_through eff u
-              && steer.(ei)
-            then begin
-              s_clean.(u) <- true;
-              bstack.(!bsp) <- u;
-              incr bsp
-            end)
-          ctx.in_edges.(v)
+      if u = v_pi || clean_through eff u then
+        for k = out_adj.off.(u) to out_adj.off.(u + 1) - 1 do
+          let ei = out_adj.idx.(k) in
+          let v = ctx.e_dst.(ei) in
+          if
+            (not rw.(v))
+            && v <> v_po
+            && shiftable eff v
+            && (not corrupt.(ei))
+            && steer.(ei)
+          then mark_f v
+        done
+    done
+  in
+  let drain_b () =
+    while !bsp > 0 do
+      decr bsp;
+      let v = bstack.(!bsp) in
+      for k = in_adj.off.(v) to in_adj.off.(v + 1) - 1 do
+        let ei = in_adj.idx.(k) in
+        let u = ctx.e_src.(ei) in
+        if (not s_any.(u)) && u <> v_pi && steer.(ei) then mark_b u
       done
-    end;
-    let readable = Array.copy stk.s_verdict.readable in
-    let accessible = Array.copy stk.s_verdict.accessible in
-    List.iter
-      (fun i ->
-        let r =
-          r_any.(v_of_seg i)
-          && s_clean.(v_of_seg i)
-          && (not eff.kill_read.(i))
-          && (not eff.corrupt_vertex.(i))
-          && not eff.po_dead
-        in
-        readable.(i) <- r;
-        accessible.(i) <- writable.(i) && r)
-      cone_list;
-    ({ writable; readable; accessible }, List.length cone_list, steer, corrupt)
+    done
+  in
+  if not eff.pi_dead then begin
+    mark_f v_pi;
+    drain_f ()
+  end;
+  mark_b v_po;
+  drain_b ();
+  let hosts = base.b_host_edges_nonreset in
+  let promote i =
+    if
+      (not writable.(i))
+      && rw.(v_of_seg i)
+      && s_any.(v_of_seg i)
+      && (not eff.kill_write.(i))
+      && not eff.pi_dead
+    then begin
+      writable.(i) <- true;
+      for k = hosts.off.(i) to hosts.off.(i + 1) - 1 do
+        let ei = hosts.idx.(k) in
+        if (not steer.(ei)) && edge_steerable ctx eff writable ctx.edges.(ei)
+        then begin
+          steer.(ei) <- true;
+          let u = ctx.e_src.(ei) and w = ctx.e_dst.(ei) in
+          if
+            rw.(u)
+            && (not rw.(w))
+            && w <> v_po
+            && shiftable eff w
+            && (not corrupt.(ei))
+            && (u = v_pi || clean_through eff u)
+          then begin
+            mark_f w;
+            drain_f ()
+          end;
+          if s_any.(w) && (not s_any.(u)) && u <> v_pi then begin
+            mark_b u;
+            drain_b ()
+          end
+        end
+      done
+    end
+  in
+  (* The initial traversals' vertices need no promotion sweep of their
+     own: the cone segments are all swept next. *)
+  let settled = ref !nnew in
+  for i = 0 to nsegs - 1 do
+    if Bitset.mem cv (v_of_seg i) then promote i
+  done;
+  (* Then the vertices each sweep added, most recent first. *)
+  while !settled < !nnew do
+    let hi = !nnew in
+    for t = hi - 1 downto !settled do
+      let v = newly.(t) in
+      if v >= 2 then promote (seg_of_v v)
+    done;
+    settled := hi
+  done;
+  (* Final traversals under the settled writability, reusing the edge
+     caches: any-data reach from scan-in, clean co-reach to scan-out. *)
+  let r_any = Array.make ctx.nv false in
+  r_any.(v_pi) <- true;
+  fstack.(0) <- v_pi;
+  fsp := 1;
+  while !fsp > 0 do
+    decr fsp;
+    let u = fstack.(!fsp) in
+    for k = out_adj.off.(u) to out_adj.off.(u + 1) - 1 do
+      let ei = out_adj.idx.(k) in
+      let v = ctx.e_dst.(ei) in
+      if (not r_any.(v)) && v <> v_po && steer.(ei) then begin
+        r_any.(v) <- true;
+        fstack.(!fsp) <- v;
+        incr fsp
+      end
+    done
+  done;
+  let s_clean = Array.make ctx.nv false in
+  if not eff.po_dead then begin
+    s_clean.(v_po) <- true;
+    bstack.(0) <- v_po;
+    bsp := 1;
+    while !bsp > 0 do
+      decr bsp;
+      let v = bstack.(!bsp) in
+      for k = in_adj.off.(v) to in_adj.off.(v + 1) - 1 do
+        let ei = in_adj.idx.(k) in
+        let u = ctx.e_src.(ei) in
+        if
+          (not s_clean.(u))
+          && u <> v_pi
+          && shiftable eff u
+          && (not corrupt.(ei))
+          && clean_through eff u
+          && steer.(ei)
+        then begin
+          s_clean.(u) <- true;
+          bstack.(!bsp) <- u;
+          incr bsp
+        end
+      done
+    done
+  end;
+  let readable = Array.copy stk.s_verdict.readable in
+  let accessible = Array.copy stk.s_verdict.accessible in
+  for i = 0 to nsegs - 1 do
+    if Bitset.mem cv (v_of_seg i) then begin
+      let r =
+        r_any.(v_of_seg i)
+        && s_clean.(v_of_seg i)
+        && (not eff.kill_read.(i))
+        && (not eff.corrupt_vertex.(i))
+        && not eff.po_dead
+      in
+      readable.(i) <- r;
+      accessible.(i) <- writable.(i) && r
+    end
+  done;
+  ({ writable; readable; accessible }, !ncone, steer, corrupt)
 
 (* Combined effects of the stacked state plus one further summary. *)
 let stacked_eff ctx stk sm =
@@ -1514,12 +1617,15 @@ type lane_ws = {
   lw_s_any : Lanes.t;
   lw_r_any : Lanes.t;
   lw_s_clean : Lanes.t;
+  mutable lw_sp : int;            (* worklist depth *)
+  lw_cone0 : Bitset.t;            (* the stacked summary's coarse cone *)
   lw_cone : Bitset.t;             (* one lane's coarse cone *)
   lw_cone_lens : int array;       (* per lane: cone size in segments *)
   lw_segs : int array;            (* per lane: accessible segments *)
   lw_bits : int array;            (* per lane: accessible bits *)
   mutable lw_k : int;             (* lanes of the last batch *)
   mutable lw_occ : int;
+  mutable lw_pi_dead : int;
   mutable lw_po_dead : int;
 }
 
@@ -1553,14 +1659,244 @@ let lane_workspace ctx =
     lw_s_any = Lanes.create nv;
     lw_r_any = Lanes.create nv;
     lw_s_clean = Lanes.create nv;
+    lw_sp = 0;
+    lw_cone0 = Bitset.create nv;
     lw_cone = Bitset.create nv;
     lw_cone_lens = Array.make lane_width 0;
     lw_segs = Array.make lane_width 0;
     lw_bits = Array.make lane_width 0;
     lw_k = 0;
     lw_occ = 0;
+    lw_pi_dead = 0;
     lw_po_dead = 0;
   }
+
+(* The lane sweep's pieces are top-level functions over the workspace,
+   and every loop is a [for] or [while] over flat arrays: nothing in a
+   sweep allocates beyond its result record, whatever the network size
+   (DESIGN.md §20). *)
+
+(* Lane masks of one summary, OR-ed in at lane word [bit]. *)
+let rec or_segs a bit = function
+  | [] -> ()
+  | i :: rest ->
+      a.(i) <- a.(i) lor bit;
+      or_segs a bit rest
+
+let or_row a bit rows r =
+  for k = rows.off.(r) to rows.off.(r + 1) - 1 do
+    let ei = rows.idx.(k) in
+    a.(ei) <- a.(ei) lor bit
+  done
+
+let rec or_rows a bit rows ~shift = function
+  | [] -> ()
+  | r :: rest ->
+      or_row a bit rows (r + shift);
+      or_rows a bit rows ~shift rest
+
+(* Marks edge [ei]'s requirement masks live for this batch (zeroing them
+   on first touch); returns their offset. *)
+let touch ws ei =
+  let req_off = ws.lw_req_off in
+  if not ws.lw_touched.(ei) then begin
+    ws.lw_touched.(ei) <- true;
+    ws.lw_touched_list.(ws.lw_ntouched) <- ei;
+    ws.lw_ntouched <- ws.lw_ntouched + 1;
+    for r = req_off.(ei) to req_off.(ei + 1) - 1 do
+      ws.lw_lockr.(r) <- 0;
+      ws.lw_pinw.(r) <- 0;
+      ws.lw_pinr.(r) <- 0
+    done
+  end;
+  req_off.(ei)
+
+let has_input muxes m k =
+  let found = ref false in
+  for j = 0 to Array.length muxes - 1 do
+    let m', k' = muxes.(j) in
+    if m' = m && k' = k then found := true
+  done;
+  !found
+
+let rec fold_inputs ctx base ws bit = function
+  | [] -> ()
+  | (m, k) :: rest ->
+      let rows = base.b_mux_edges in
+      for x = rows.off.(m) to rows.off.(m + 1) - 1 do
+        let ei = rows.idx.(x) in
+        if has_input ctx.edges.(ei).e_muxes m k then
+          ws.lw_corrupt_e.(ei) <- ws.lw_corrupt_e.(ei) lor bit
+      done;
+      fold_inputs ctx base ws bit rest
+
+let rec fold_locks ctx base ws bit = function
+  | [] -> ()
+  | (m, b, v) :: rest ->
+      let rows = base.b_mux_edges in
+      for x = rows.off.(m) to rows.off.(m + 1) - 1 do
+        let ei = rows.idx.(x) in
+        let e = ctx.edges.(ei) in
+        (* A lock to the wrong value kills the lane's edge outright (the
+           scalar check scans every addressed port, shadow-driven or
+           not). *)
+        let ports = e.e_addr_ports in
+        let wrong = ref false in
+        for p = 0 to Array.length ports - 1 do
+          let m', b', required = ports.(p) in
+          if m' = m && b' = b && required <> v then wrong := true
+        done;
+        if !wrong then ws.lw_dead_e.(ei) <- ws.lw_dead_e.(ei) lor bit;
+        (* A lock to the required value waives the hosted requirement on
+           that port. *)
+        let off = touch ws ei in
+        let reqs = e.e_shadow_reqs in
+        for r = 0 to Array.length reqs - 1 do
+          let (m', b'), _, _, required, _ = reqs.(r) in
+          if m' = m && b' = b && required = v then
+            ws.lw_lockr.(off + r) <- ws.lw_lockr.(off + r) lor bit
+        done
+      done;
+      fold_locks ctx base ws bit rest
+
+let rec fold_pins ctx base ws bit = function
+  | [] -> ()
+  | (cseg, cbit, v) :: rest ->
+      let rows = base.b_host_edges_all in
+      for x = rows.off.(cseg) to rows.off.(cseg + 1) - 1 do
+        let ei = rows.idx.(x) in
+        let off = touch ws ei in
+        let reqs = ctx.edges.(ei).e_shadow_reqs in
+        for r = 0 to Array.length reqs - 1 do
+          let _, cseg', cbit', required, _ = reqs.(r) in
+          if cseg' = cseg && cbit' = cbit then
+            if v <> required then
+              ws.lw_pinw.(off + r) <- ws.lw_pinw.(off + r) lor bit
+            else ws.lw_pinr.(off + r) <- ws.lw_pinr.(off + r) lor bit
+        done
+      done;
+      fold_pins ctx base ws bit rest
+
+let fold_summary ctx base ws bit (sm : Fault.summary) =
+  or_segs ws.lw_hard_block bit sm.Fault.sm_hard_block;
+  or_segs ws.lw_corrupt_vertex bit sm.Fault.sm_corrupt_vertex;
+  or_segs ws.lw_kill_write bit sm.Fault.sm_kill_write;
+  or_segs ws.lw_kill_read bit sm.Fault.sm_kill_read;
+  or_rows ws.lw_corrupt_e bit ctx.in_adj ~shift:2 sm.Fault.sm_corrupt_in;
+  or_rows ws.lw_corrupt_e bit ctx.out_adj ~shift:2 sm.Fault.sm_corrupt_out;
+  or_rows ws.lw_corrupt_e bit base.b_mux_edges ~shift:0 sm.Fault.sm_mux_out;
+  fold_inputs ctx base ws bit sm.Fault.sm_mux_in;
+  fold_locks ctx base ws bit sm.Fault.sm_locked_addr;
+  fold_pins ctx base ws bit sm.Fault.sm_stuck_shadow;
+  if sm.Fault.sm_pi_dead then ws.lw_pi_dead <- ws.lw_pi_dead lor bit;
+  if sm.Fault.sm_po_dead then ws.lw_po_dead <- ws.lw_po_dead lor bit
+
+(* [edge_steerable] lane-wise, under the current writability words. *)
+let steer_word ctx ws ei =
+  let occ = ws.lw_occ and writable_w = ws.lw_writable in
+  let reqs = ctx.edges.(ei).e_shadow_reqs in
+  let s = ref (occ land lnot ws.lw_dead_e.(ei)) in
+  if not ws.lw_touched.(ei) then
+    for r = 0 to Array.length reqs - 1 do
+      let _, cseg, _, _, reset_matches = reqs.(r) in
+      if not reset_matches then s := !s land writable_w.(cseg)
+    done
+  else begin
+    let off = ws.lw_req_off.(ei) in
+    for r = 0 to Array.length reqs - 1 do
+      let _, cseg, _, _, reset_matches = reqs.(r) in
+      s :=
+        !s
+        land (ws.lw_lockr.(off + r)
+             lor (lnot ws.lw_pinw.(off + r)
+                 land
+                 if reset_matches then occ
+                 else ws.lw_pinr.(off + r) lor writable_w.(cseg)))
+    done
+  end;
+  !s
+
+(* Word-parallel worklist traversals.  A vertex re-enters the worklist
+   whenever its word grows, so each pass settles all lanes at once. *)
+let push ws v =
+  if not ws.lw_inq.(v) then begin
+    ws.lw_inq.(v) <- true;
+    ws.lw_stack.(ws.lw_sp) <- v;
+    ws.lw_sp <- ws.lw_sp + 1
+  end
+
+let pop ws =
+  ws.lw_sp <- ws.lw_sp - 1;
+  let v = ws.lw_stack.(ws.lw_sp) in
+  ws.lw_inq.(v) <- false;
+  v
+
+let shift_mask ws v = if v >= 2 then lnot ws.lw_hard_block.(seg_of_v v) else -1
+
+let through_mask ws v =
+  if v >= 2 then lnot ws.lw_corrupt_vertex.(seg_of_v v) else -1
+
+(* Forward traversal from scan-in into [lanes], started at [start]:
+   [clean] selects [reach_from_pi ~clean:true] (membership needs clean
+   data INTO the vertex and its shiftability; extension beyond a vertex
+   additionally needs its through-cleanness), otherwise the any-data
+   reach, where steering is the only gate. *)
+let lane_forward ctx ws lanes start ~clean =
+  let out_adj = ctx.out_adj in
+  Lanes.clear lanes;
+  ws.lw_sp <- 0;
+  if start <> 0 then begin
+    ignore (Lanes.or_in lanes v_pi start);
+    push ws v_pi
+  end;
+  while ws.lw_sp > 0 do
+    let u = pop ws in
+    let x = Lanes.get lanes u in
+    let x = if clean then x land through_mask ws u else x in
+    if x <> 0 then
+      for k = out_adj.off.(u) to out_adj.off.(u + 1) - 1 do
+        let ei = out_adj.idx.(k) in
+        let v = ctx.e_dst.(ei) in
+        if v <> v_po then begin
+          let add = x land ws.lw_steer.(ei) in
+          let add =
+            if clean then
+              add land lnot ws.lw_corrupt_e.(ei) land shift_mask ws v
+            else add
+          in
+          if add <> 0 && Lanes.or_in lanes v add <> 0 then push ws v
+        end
+      done
+  done
+
+(* Backward traversal to scan-out: the any-data co-reach ([coreach_to_po
+   ~clean:false]) or, with [clean], the clean one. *)
+let lane_backward ctx ws lanes start ~clean =
+  let in_adj = ctx.in_adj in
+  Lanes.clear lanes;
+  ws.lw_sp <- 0;
+  if start <> 0 then begin
+    ignore (Lanes.or_in lanes v_po start);
+    push ws v_po
+  end;
+  while ws.lw_sp > 0 do
+    let v = pop ws in
+    let x = Lanes.get lanes v in
+    for k = in_adj.off.(v) to in_adj.off.(v + 1) - 1 do
+      let ei = in_adj.idx.(k) in
+      let u = ctx.e_src.(ei) in
+      if u <> v_pi then begin
+        let add = x land ws.lw_steer.(ei) in
+        let add =
+          if clean then
+            add land lnot ws.lw_corrupt_e.(ei) land shift_mask ws u
+            land through_mask ws u
+          else add
+        in
+        if add <> 0 && Lanes.or_in lanes u add <> 0 then push ws u
+      end
+    done
+  done
 
 (* One lane sweep into [ws]: on return [lw_writable], [lw_r_any],
    [lw_s_clean], the effect masks, [lw_po_dead] and [lw_cone_lens] hold
@@ -1575,11 +1911,10 @@ let lane_sweep ctx ws stk (sms : Fault.summary array) =
   | Some s0 when s0.Fault.sm_glitch_shadow <> [] ->
       invalid_arg "Engine.analyze_lane_batch: glitch stacked base (scalar only)"
   | _ -> ());
-  Array.iter
-    (fun (sm : Fault.summary) ->
-      if sm.Fault.sm_glitch_shadow <> [] then
-        invalid_arg "Engine.analyze_lane_batch: glitch summary (scalar only)")
-    sms;
+  for l = 0 to k - 1 do
+    if sms.(l).Fault.sm_glitch_shadow <> [] then
+      invalid_arg "Engine.analyze_lane_batch: glitch summary (scalar only)"
+  done;
   if Array.length ws.lw_writable <> ctx.nsegs
      || Array.length ws.lw_stack <> ctx.nv
      || Array.length ws.lw_steer <> Array.length ctx.edges
@@ -1587,260 +1922,88 @@ let lane_sweep ctx ws stk (sms : Fault.summary array) =
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs in
   let nedges = Array.length ctx.edges in
+  ws.lw_k <- k;
+  ws.lw_occ <- occ;
   (* Per-lane static effect masks: bit L set = the effect holds in lane
      L (the word transposition of [effects]). *)
-  let hard_block_w = ws.lw_hard_block in
-  let corrupt_vertex_w = ws.lw_corrupt_vertex in
-  let kill_write_w = ws.lw_kill_write in
-  let kill_read_w = ws.lw_kill_read in
-  let corrupt_e = ws.lw_corrupt_e in
-  let dead_e = ws.lw_dead_e in
-  Array.fill hard_block_w 0 nsegs 0;
-  Array.fill corrupt_vertex_w 0 nsegs 0;
-  Array.fill kill_write_w 0 nsegs 0;
-  Array.fill kill_read_w 0 nsegs 0;
-  Array.fill corrupt_e 0 nedges 0;
-  let pi_dead_w = ref 0 and po_dead_w = ref 0 in
+  Array.fill ws.lw_hard_block 0 nsegs 0;
+  Array.fill ws.lw_corrupt_vertex 0 nsegs 0;
+  Array.fill ws.lw_kill_write 0 nsegs 0;
+  Array.fill ws.lw_kill_read 0 nsegs 0;
+  Array.fill ws.lw_corrupt_e 0 nedges 0;
+  ws.lw_pi_dead <- 0;
+  ws.lw_po_dead <- 0;
   for ei = 0 to nedges - 1 do
-    dead_e.(ei) <- (if ctx.edges.(ei).e_dead then occ else 0)
+    ws.lw_dead_e.(ei) <- (if ctx.edges.(ei).e_dead then occ else 0)
   done;
   (* Sparse per-(edge, requirement) pin/lock masks, live only for the
      edges the batch's locks or pins touch. *)
-  let req_off = ws.lw_req_off in
-  let lockr = ws.lw_lockr and pinw = ws.lw_pinw and pinr = ws.lw_pinr in
   for t = 0 to ws.lw_ntouched - 1 do
     ws.lw_touched.(ws.lw_touched_list.(t)) <- false
   done;
   ws.lw_ntouched <- 0;
-  let touch ei =
-    if not ws.lw_touched.(ei) then begin
-      ws.lw_touched.(ei) <- true;
-      ws.lw_touched_list.(ws.lw_ntouched) <- ei;
-      ws.lw_ntouched <- ws.lw_ntouched + 1;
-      for r = req_off.(ei) to req_off.(ei + 1) - 1 do
-        lockr.(r) <- 0;
-        pinw.(r) <- 0;
-        pinr.(r) <- 0
-      done
-    end;
-    req_off.(ei)
-  in
-  let fold_summary bit (sm : Fault.summary) =
-    let set_w a i = a.(i) <- a.(i) lor bit in
-      List.iter (set_w hard_block_w) sm.Fault.sm_hard_block;
-      List.iter (set_w corrupt_vertex_w) sm.Fault.sm_corrupt_vertex;
-      List.iter (set_w kill_write_w) sm.Fault.sm_kill_write;
-      List.iter (set_w kill_read_w) sm.Fault.sm_kill_read;
-      List.iter
-        (fun i -> List.iter (set_w corrupt_e) ctx.in_edges.(v_of_seg i))
-        sm.Fault.sm_corrupt_in;
-      List.iter
-        (fun i -> List.iter (set_w corrupt_e) ctx.out_edges.(v_of_seg i))
-        sm.Fault.sm_corrupt_out;
-      List.iter
-        (fun m -> List.iter (set_w corrupt_e) base.b_mux_edges.(m))
-        sm.Fault.sm_mux_out;
-      List.iter
-        (fun (m, kk) ->
-          List.iter
-            (fun ei ->
-              if
-                Array.exists
-                  (fun (m', k') -> m' = m && k' = kk)
-                  ctx.edges.(ei).e_muxes
-              then set_w corrupt_e ei)
-            base.b_mux_edges.(m))
-        sm.Fault.sm_mux_in;
-      List.iter
-        (fun (m, b, v) ->
-          List.iter
-            (fun ei ->
-              let e = ctx.edges.(ei) in
-              (* A lock to the wrong value kills the lane's edge
-                 outright (the scalar check scans every addressed
-                 port, shadow-driven or not). *)
-              if
-                Array.exists
-                  (fun (m', b', required) -> m' = m && b' = b && required <> v)
-                  e.e_addr_ports
-              then set_w dead_e ei;
-              (* A lock to the required value waives the hosted
-                 requirement on that port. *)
-              let off = touch ei in
-              Array.iteri
-                (fun r ((m', b'), _, _, required, _) ->
-                  if m' = m && b' = b && required = v then
-                    lockr.(off + r) <- lockr.(off + r) lor bit)
-                e.e_shadow_reqs)
-            base.b_mux_edges.(m))
-        sm.Fault.sm_locked_addr;
-      List.iter
-        (fun (cseg, cbit, v) ->
-          List.iter
-            (fun ei ->
-              let e = ctx.edges.(ei) in
-              let off = touch ei in
-              Array.iteri
-                (fun r (_, cseg', cbit', required, _) ->
-                  if cseg' = cseg && cbit' = cbit then
-                    if v <> required then pinw.(off + r) <- pinw.(off + r) lor bit
-                    else pinr.(off + r) <- pinr.(off + r) lor bit)
-                e.e_shadow_reqs)
-            base.b_host_edges_all.(cseg))
-        sm.Fault.sm_stuck_shadow;
-      if sm.Fault.sm_pi_dead then pi_dead_w := !pi_dead_w lor bit;
-      if sm.Fault.sm_po_dead then po_dead_w := !po_dead_w lor bit
-  in
   (* The stacked summary holds in EVERY lane; each delta in its own. *)
-  (match stk.s_sm with None -> () | Some s0 -> fold_summary occ s0);
-  Array.iteri (fun l sm -> fold_summary (1 lsl l) sm) sms;
+  (match stk.s_sm with None -> () | Some s0 -> fold_summary ctx base ws occ s0);
+  for l = 0 to k - 1 do
+    fold_summary ctx base ws (1 lsl l) sms.(l)
+  done;
   (* Writability seeds: stacked writable everywhere, each lane's
-     union-cone cleared.  [coarse_cone_into] over the union summary is
-     the same cone [analyze_delta_on] restricts its fixpoint to, so each
-     seed is at or below its lane's combined least fixpoint. *)
+     union-cone cleared.  The cone of the union of the stacked and delta
+     summaries is the same cone [analyze_delta_on] restricts its
+     fixpoint to, so each seed is at or below its lane's combined least
+     fixpoint.  That cone is the stacked summary's cone plus the delta's:
+     the first is cleared from every lane at once, and each lane walks
+     only the part of its own cone outside it. *)
   let writable_w = ws.lw_writable in
   let stk_writable = stk.s_verdict.writable in
   for i = 0 to nsegs - 1 do
     writable_w.(i) <- (if stk_writable.(i) then occ else 0)
   done;
-  let cv = ws.lw_cone in
-  Array.iteri
-    (fun l sm ->
-      let clear = lnot (1 lsl l) in
-      let cone_sm =
-        match stk.s_sm with
-        | None -> sm
-        | Some s0 -> Fault.summary_union s0 sm
-      in
-      coarse_cone_into ctx base cv cone_sm;
-      let n = ref 0 in
-      Bitset.iter
-        (fun v ->
-          if v >= 2 then begin
-            let i = seg_of_v v in
-            incr n;
-            writable_w.(i) <- writable_w.(i) land clear
-          end)
-        cv;
-      ws.lw_cone_lens.(l) <- !n)
-    sms;
-  (* [edge_steerable] lane-wise, under the current writability words. *)
-  let steer = ws.lw_steer in
-  let steer_word ei =
-    let e = ctx.edges.(ei) in
-    let s = ref (occ land lnot dead_e.(ei)) in
-    if not ws.lw_touched.(ei) then
-      Array.iter
-        (fun (_, cseg, _, _, reset_matches) ->
-          if not reset_matches then s := !s land writable_w.(cseg))
-        e.e_shadow_reqs
-    else begin
-      let off = req_off.(ei) in
-      Array.iteri
-        (fun r (_, cseg, _, _, reset_matches) ->
-          let sat =
-            lockr.(off + r)
-            lor (lnot pinw.(off + r)
-                land
-                if reset_matches then occ
-                else pinr.(off + r) lor writable_w.(cseg))
-          in
-          s := !s land sat)
-        e.e_shadow_reqs
-    end;
-    !s
-  in
-  for ei = 0 to nedges - 1 do
-    steer.(ei) <- steer_word ei
+  let cv = ws.lw_cone and cone0 = ws.lw_cone0 in
+  let n0 = ref 0 in
+  (match stk.s_sm with
+  | None -> Bitset.clear cone0
+  | Some s0 ->
+      coarse_cone_into ctx base cone0 s0;
+      for i = 0 to nsegs - 1 do
+        if Bitset.mem cone0 (v_of_seg i) then begin
+          writable_w.(i) <- 0;
+          incr n0
+        end
+      done);
+  for l = 0 to k - 1 do
+    let clear = lnot (1 lsl l) in
+    coarse_cone_into ctx base cv sms.(l);
+    Bitset.andn_into cv cone0;
+    let n = ref !n0 in
+    let v = ref (Bitset.next cv 2) in
+    while !v >= 0 do
+      let i = seg_of_v !v in
+      incr n;
+      writable_w.(i) <- writable_w.(i) land clear;
+      v := Bitset.next cv (!v + 1)
+    done;
+    ws.lw_cone_lens.(l) <- !n
   done;
-  (* Word-parallel worklist traversals.  A vertex re-enters the queue
-     whenever its word grows, so each pass settles all lanes at once. *)
-  let stack = ws.lw_stack in
-  let sp = ref 0 in
-  let inq = ws.lw_inq in
-  let push v =
-    if not inq.(v) then begin
-      inq.(v) <- true;
-      stack.(!sp) <- v;
-      incr sp
-    end
-  in
-  let rw = ws.lw_rw in
-  let s_any = ws.lw_s_any in
-  let shift_mask v =
-    if v >= 2 then lnot hard_block_w.(seg_of_v v) else -1
-  in
-  (* Clean forward reach from scan-in ([reach_from_pi ~clean:true]):
-     membership needs clean data INTO the vertex and its shiftability;
-     extension beyond a vertex additionally needs its through-
-     cleanness. *)
-  let fwd_clean () =
-    Lanes.clear rw;
-    sp := 0;
-    let start = occ land lnot !pi_dead_w in
-    if start <> 0 then begin
-      ignore (Lanes.or_in rw v_pi start);
-      push v_pi
-    end;
-    while !sp > 0 do
-      decr sp;
-      let u = stack.(!sp) in
-      inq.(u) <- false;
-      let through =
-        let x = Lanes.get rw u in
-        if u >= 2 then x land lnot corrupt_vertex_w.(seg_of_v u) else x
-      in
-      if through <> 0 then
-        List.iter
-          (fun ei ->
-            let v = ctx.edges.(ei).e_dst in
-            if v <> v_po then begin
-              let add =
-                through land steer.(ei)
-                land lnot corrupt_e.(ei)
-                land shift_mask v
-              in
-              if add <> 0 && Lanes.or_in rw v add <> 0 then push v
-            end)
-          ctx.out_edges.(u)
-    done
-  in
-  (* Any-data backward co-reach to scan-out ([coreach_to_po
-     ~clean:false]): steering is the only gate. *)
-  let bwd_any () =
-    Lanes.clear s_any;
-    sp := 0;
-    ignore (Lanes.or_in s_any v_po occ);
-    push v_po;
-    while !sp > 0 do
-      decr sp;
-      let v = stack.(!sp) in
-      inq.(v) <- false;
-      let x = Lanes.get s_any v in
-      List.iter
-        (fun ei ->
-          let u = ctx.edges.(ei).e_src in
-          if u <> v_pi then begin
-            let add = x land steer.(ei) in
-            if add <> 0 && Lanes.or_in s_any u add <> 0 then push u
-          end)
-        ctx.in_edges.(v)
-    done
-  in
+  let steer = ws.lw_steer in
+  for ei = 0 to nedges - 1 do
+    steer.(ei) <- steer_word ctx ws ei
+  done;
+  let hosts = base.b_host_edges_nonreset in
   let promoted = ref 0 in
   let rounds = ref 0 in
-  let not_pi = lnot !pi_dead_w in
+  let not_pi = lnot ws.lw_pi_dead in
   let changed = ref true in
   while !changed do
     changed := false;
     incr rounds;
-    fwd_clean ();
-    bwd_any ();
+    lane_forward ctx ws ws.lw_rw (occ land not_pi) ~clean:true;
+    lane_backward ctx ws ws.lw_s_any occ ~clean:false;
     for i = 0 to nsegs - 1 do
       let nw =
-        Lanes.get rw (v_of_seg i)
-        land Lanes.get s_any (v_of_seg i)
-        land lnot kill_write_w.(i)
+        Lanes.get ws.lw_rw (v_of_seg i)
+        land Lanes.get ws.lw_s_any (v_of_seg i)
+        land lnot ws.lw_kill_write.(i)
         land not_pi
         land lnot writable_w.(i)
         land occ
@@ -1850,63 +2013,18 @@ let lane_sweep ctx ws stk (sms : Fault.summary array) =
         promoted := !promoted lor nw;
         (* Only the not-reset-matching hosted requirements consult the
            host's writability — refresh exactly their edges. *)
-        List.iter
-          (fun ei -> steer.(ei) <- steer_word ei)
-          base.b_host_edges_nonreset.(i);
+        for x = hosts.off.(i) to hosts.off.(i + 1) - 1 do
+          let ei = hosts.idx.(x) in
+          steer.(ei) <- steer_word ctx ws ei
+        done;
         changed := true
       end
     done
   done;
   (* Final traversals under the settled steering: any-data forward
      reach (ignores dead ports), clean backward co-reach. *)
-  let r_any = ws.lw_r_any in
-  Lanes.clear r_any;
-  sp := 0;
-  ignore (Lanes.or_in r_any v_pi occ);
-  push v_pi;
-  while !sp > 0 do
-    decr sp;
-    let u = stack.(!sp) in
-    inq.(u) <- false;
-    let x = Lanes.get r_any u in
-    List.iter
-      (fun ei ->
-        let v = ctx.edges.(ei).e_dst in
-        if v <> v_po then begin
-          let add = x land steer.(ei) in
-          if add <> 0 && Lanes.or_in r_any v add <> 0 then push v
-        end)
-      ctx.out_edges.(u)
-  done;
-  let s_clean = ws.lw_s_clean in
-  Lanes.clear s_clean;
-  let start = occ land lnot !po_dead_w in
-  if start <> 0 then begin
-    ignore (Lanes.or_in s_clean v_po start);
-    push v_po
-  end;
-  while !sp > 0 do
-    decr sp;
-    let v = stack.(!sp) in
-    inq.(v) <- false;
-    let x = Lanes.get s_clean v in
-    List.iter
-      (fun ei ->
-        let u = ctx.edges.(ei).e_src in
-        if u <> v_pi then begin
-          let add =
-            x land steer.(ei)
-            land lnot corrupt_e.(ei)
-            land shift_mask u
-            land (if u >= 2 then lnot corrupt_vertex_w.(seg_of_v u) else -1)
-          in
-          if add <> 0 && Lanes.or_in s_clean u add <> 0 then push u
-        end)
-      ctx.in_edges.(v)
-  done;
-  ws.lw_k <- k;
-  ws.lw_occ <- occ;
-  ws.lw_po_dead <- !po_dead_w;
+  lane_forward ctx ws ws.lw_r_any occ ~clean:false;
+  lane_backward ctx ws ws.lw_s_clean (occ land lnot ws.lw_po_dead) ~clean:true;
   {
     ls_batches = 1;
     ls_lanes = k;
@@ -2160,7 +2278,9 @@ type probe = {
 
 let seg_bitset ctx cv =
   let cs = Bitset.create ctx.nsegs in
-  List.iter (Bitset.add cs) (cone_seg_list ctx cv);
+  for i = 0 to ctx.nsegs - 1 do
+    if Bitset.mem cv (v_of_seg i) then Bitset.add cs i
+  done;
   cs
 
 let probe ctx base (sm : Fault.summary) =
@@ -2250,27 +2370,29 @@ let probe ctx base (sm : Fault.summary) =
     List.iter
       (fun (s, b, v) ->
         if not writable0.(s) then
-          List.iter
-            (fun ei ->
-              Array.iter
-                (fun (_, cseg, cbit, required, reset_matches) ->
-                  if cseg = s && cbit = b && required = v && not reset_matches
-                  then gain := true)
-                ctx.edges.(ei).e_shadow_reqs)
-            base.b_host_edges_all.(s))
+          let rows = base.b_host_edges_all in
+          for x = rows.off.(s) to rows.off.(s + 1) - 1 do
+            let reqs = ctx.edges.(rows.idx.(x)).e_shadow_reqs in
+            for r = 0 to Array.length reqs - 1 do
+              let _, cseg, cbit, required, reset_matches = reqs.(r) in
+              if cseg = s && cbit = b && required = v && not reset_matches
+              then gain := true
+            done
+          done)
       sm.Fault.sm_stuck_shadow;
     List.iter
       (fun (m, b, v) ->
-        List.iter
-          (fun ei ->
-            Array.iter
-              (fun (port, cseg, _, required, reset_matches) ->
-                if
-                  port = (m, b) && required = v && (not reset_matches)
-                  && not writable0.(cseg)
-                then gain := true)
-              ctx.edges.(ei).e_shadow_reqs)
-          base.b_mux_edges.(m))
+        let rows = base.b_mux_edges in
+        for x = rows.off.(m) to rows.off.(m + 1) - 1 do
+          let reqs = ctx.edges.(rows.idx.(x)).e_shadow_reqs in
+          for r = 0 to Array.length reqs - 1 do
+            let (m', b'), cseg, _, required, reset_matches = reqs.(r) in
+            if
+              m' = m && b' = b && required = v && (not reset_matches)
+              && not writable0.(cseg)
+            then gain := true
+          done
+        done)
       sm.Fault.sm_locked_addr;
     if !gain then coarse ()
     else begin
@@ -2286,36 +2408,39 @@ let probe ctx base (sm : Fault.summary) =
           || v.readable.(i) <> v0.readable.(i)
         then Bitset.add cs i
       done;
-      (* The four access traversals under the settled faulty state. *)
+      (* The four access traversals under the settled faulty state.  A
+         vertex is pushed once per traversal, so [stack] never
+         overflows. *)
+      let stack = Array.make ctx.nv 0 in
       let traverse ~fwd ~clean =
         let root = if fwd then v_pi else v_po in
         let stop = if fwd then v_po else v_pi in
+        let adj = if fwd then ctx.out_adj else ctx.in_adj in
+        let next = if fwd then ctx.e_dst else ctx.e_src in
         let ok = Array.make ctx.nv false in
         ok.(root) <- true;
-        let stack = ref [ root ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | u :: rest ->
-              stack := rest;
-              if fwd && clean && not (u = v_pi || clean_through eff u) then ()
-              else
-                List.iter
-                  (fun ei ->
-                    if steer.(ei) && not (clean && corrupt.(ei)) then begin
-                      let e = ctx.edges.(ei) in
-                      let w = if fwd then e.e_dst else e.e_src in
-                      if
-                        (not ok.(w))
-                        && w <> stop
-                        && ((not clean) || shiftable eff w)
-                        && not ((not fwd) && clean && not (clean_through eff w))
-                      then begin
-                        ok.(w) <- true;
-                        stack := w :: !stack
-                      end
-                    end)
-                  (if fwd then ctx.out_edges.(u) else ctx.in_edges.(u))
+        stack.(0) <- root;
+        let sp = ref 1 in
+        while !sp > 0 do
+          decr sp;
+          let u = stack.(!sp) in
+          if not (fwd && clean && not (u = v_pi || clean_through eff u)) then
+            for k = adj.off.(u) to adj.off.(u + 1) - 1 do
+              let ei = adj.idx.(k) in
+              if steer.(ei) && not (clean && corrupt.(ei)) then begin
+                let w = next.(ei) in
+                if
+                  (not ok.(w))
+                  && w <> stop
+                  && ((not clean) || shiftable eff w)
+                  && not ((not fwd) && clean && not (clean_through eff w))
+                then begin
+                  ok.(w) <- true;
+                  stack.(!sp) <- w;
+                  incr sp
+                end
+              end
+            done
         done;
         ok
       in
@@ -2325,9 +2450,8 @@ let probe ctx base (sm : Fault.summary) =
       let s_any = traverse ~fwd:false ~clean:false in
       let region = Bitset.create ctx.nv in
       let add_ei ei =
-        let e = ctx.edges.(ei) in
-        Bitset.add region e.e_src;
-        Bitset.add region e.e_dst
+        Bitset.add region ctx.e_src.(ei);
+        Bitset.add region ctx.e_dst.(ei)
       in
       (* Killed or corrupted live edges — [steer] is the exact faulty
          steerability, so writability-cascade deaths are included.
@@ -2344,12 +2468,14 @@ let probe ctx base (sm : Fault.summary) =
       let vertex_damage w =
         Bitset.add region w;
         Bitset.add dmg w;
-        List.iter
-          (fun ei -> Bitset.add region ctx.edges.(ei).e_src)
-          base.b_live_in.(w);
-        List.iter
-          (fun ei -> Bitset.add region ctx.edges.(ei).e_dst)
-          base.b_live_out.(w)
+        let live = base.b_live_in in
+        for x = live.off.(w) to live.off.(w + 1) - 1 do
+          Bitset.add region ctx.e_src.(live.idx.(x))
+        done;
+        let live = base.b_live_out in
+        for x = live.off.(w) to live.off.(w + 1) - 1 do
+          Bitset.add region ctx.e_dst.(live.idx.(x))
+        done
       in
       List.iter (fun i -> vertex_damage (v_of_seg i)) sm.Fault.sm_hard_block;
       List.iter
@@ -2359,8 +2485,7 @@ let probe ctx base (sm : Fault.summary) =
          edge) to a vertex that lost the traversal. *)
       for ei = 0 to nedges - 1 do
         if base.b_steer.(ei) then begin
-          let e = ctx.edges.(ei) in
-          let u = e.e_src and w = e.e_dst in
+          let u = ctx.e_src.(ei) and w = ctx.e_dst.(ei) in
           if base.b_live_reach.(u) && w <> v_po then begin
             if (not rw.(u)) && rw.(w) then Bitset.add region w;
             if (not r_any.(u)) && r_any.(w) then Bitset.add region w
@@ -2374,35 +2499,37 @@ let probe ctx base (sm : Fault.summary) =
       (* Pinned-right steering requirements on live edges (see above). *)
       List.iter
         (fun (s, b, vv) ->
-          List.iter
-            (fun ei ->
-              if base.b_steer.(ei) then begin
-                let keep = ref false in
-                Array.iter
-                  (fun (_, cseg, cbit, required, reset_matches) ->
-                    if
-                      cseg = s && cbit = b && required = vv
-                      && not reset_matches
-                    then keep := true)
-                  ctx.edges.(ei).e_shadow_reqs;
-                if !keep then add_ei ei
-              end)
-            base.b_host_edges_all.(s))
+          let rows = base.b_host_edges_all in
+          for x = rows.off.(s) to rows.off.(s + 1) - 1 do
+            let ei = rows.idx.(x) in
+            if base.b_steer.(ei) then begin
+              let reqs = ctx.edges.(ei).e_shadow_reqs in
+              let keep = ref false in
+              for r = 0 to Array.length reqs - 1 do
+                let _, cseg, cbit, required, reset_matches = reqs.(r) in
+                if cseg = s && cbit = b && required = vv && not reset_matches
+                then keep := true
+              done;
+              if !keep then add_ei ei
+            end
+          done)
         sm.Fault.sm_stuck_shadow;
       List.iter
         (fun (m, b, vv) ->
-          List.iter
-            (fun ei ->
-              if base.b_steer.(ei) then begin
-                let keep = ref false in
-                Array.iter
-                  (fun (port, _, _, required, reset_matches) ->
-                    if port = (m, b) && required = vv && not reset_matches
-                    then keep := true)
-                  ctx.edges.(ei).e_shadow_reqs;
-                if !keep then add_ei ei
-              end)
-            base.b_mux_edges.(m))
+          let rows = base.b_mux_edges in
+          for x = rows.off.(m) to rows.off.(m + 1) - 1 do
+            let ei = rows.idx.(x) in
+            if base.b_steer.(ei) then begin
+              let reqs = ctx.edges.(ei).e_shadow_reqs in
+              let keep = ref false in
+              for r = 0 to Array.length reqs - 1 do
+                let (m', b'), _, _, required, reset_matches = reqs.(r) in
+                if m' = m && b' = b && required = vv && not reset_matches then
+                  keep := true
+              done;
+              if !keep then add_ei ei
+            end
+          done)
         sm.Fault.sm_locked_addr;
       (* Fragility: which segments keep their CANONICAL baseline
          certificate under the fault?  Replay the founded forest in round
@@ -2416,48 +2543,45 @@ let probe ctx base (sm : Fault.summary) =
          wrong pins already failed the syntactic check). *)
       let all_w = Array.make ctx.nsegs true in
       let pclass = Array.make ctx.nsegs false in
+      (* A pin or lock of the bit to its required value exempts it. *)
+      let exempt (m, b) cseg cbit required =
+        locked_to m b required eff.locked_addr
+        || pin_state 0 cseg cbit required eff.stuck_shadow <> 0
+      in
       let hosts_ok e =
         let ok = ref true in
-        Array.iter
-          (fun (port, cseg, cbit, required, reset_matches) ->
-            if (not reset_matches) && not pclass.(cseg) then begin
-              let exempt =
-                List.exists
-                  (fun (m, b, vv) -> (m, b) = port && vv = required)
-                  eff.locked_addr
-                || List.exists
-                     (fun (s', b', _) -> s' = cseg && b' = cbit)
-                     eff.stuck_shadow
-              in
-              if not exempt then ok := false
-            end)
-          e.e_shadow_reqs;
+        let reqs = e.e_shadow_reqs in
+        for r = 0 to Array.length reqs - 1 do
+          let port, cseg, cbit, required, reset_matches = reqs.(r) in
+          if
+            (not reset_matches)
+            && (not pclass.(cseg))
+            && not (exempt port cseg cbit required)
+          then ok := false
+        done;
         !ok
       in
       let pre_memo = Array.make ctx.nv 0 (* 0 unknown / 1 ok / 2 bad *) in
       let suf_memo = Array.make ctx.nv 0 in
       (* Iterative tree walk (certificate paths can be as long as the
-         longest scan chain): ascend to the first memoized ancestor, then
-         settle the collected chain root-side first. *)
-      let walk memo parent next_v root edge_ok v0 =
-        let chain = ref [] in
+         longest scan chain): ascend to the first memoized ancestor or the
+         root, collecting the chain in [chain], then settle it root-side
+         first.  [next] maps a tree edge to the vertex it leads to. *)
+      let chain = Array.make ctx.nv 0 in
+      let walk memo parent next root edge_ok v0 =
+        let n = ref 0 in
         let v = ref v0 in
-        let known = ref None in
-        while !known = None do
-          if !v = root then known := Some true
-          else if memo.(!v) = 1 then known := Some true
-          else if memo.(!v) = 2 then known := Some false
-          else begin
-            chain := !v :: !chain;
-            v := next_v parent.(!v)
-          end
+        while !v <> root && memo.(!v) = 0 do
+          chain.(!n) <- !v;
+          incr n;
+          v := next.(parent.(!v))
         done;
-        let ok = ref (!known = Some true) in
-        List.iter
-          (fun u ->
-            if !ok then ok := edge_ok u parent.(u);
-            memo.(u) <- (if !ok then 1 else 2))
-          !chain;
+        let ok = ref (!v = root || memo.(!v) = 1) in
+        for t = !n - 1 downto 0 do
+          let u = chain.(t) in
+          if !ok then ok := edge_ok u parent.(u);
+          memo.(u) <- (if !ok then 1 else 2)
+        done;
         !ok
       in
       let nrounds = Array.length base.b_cert_rounds in
@@ -2469,11 +2593,12 @@ let probe ctx base (sm : Fault.summary) =
            uncorrupted, destination shiftable, source passing clean. *)
         let pre_edge_ok u ei =
           let e = ctx.edges.(ei) in
+          let src = ctx.e_src.(ei) in
           edge_steerable ctx eff all_w e
           && hosts_ok e
           && (not corrupt.(ei))
           && shiftable eff u
-          && (e.e_src = v_pi || clean_through eff e.e_src)
+          && (src = v_pi || clean_through eff src)
         in
         (* Suffix edges only need to exist topologically: steerable. *)
         let suf_edge_ok _u ei =
@@ -2484,12 +2609,8 @@ let probe ctx base (sm : Fault.summary) =
           if
             base.b_cert_round_of.(s) = round
             && (not eff.kill_write.(s))
-            && walk pre_memo pre_tree
-                 (fun ei -> ctx.edges.(ei).e_src)
-                 v_pi pre_edge_ok (v_of_seg s)
-            && walk suf_memo suf_tree
-                 (fun ei -> ctx.edges.(ei).e_dst)
-                 v_po suf_edge_ok (v_of_seg s)
+            && walk pre_memo pre_tree ctx.e_src v_pi pre_edge_ok (v_of_seg s)
+            && walk suf_memo suf_tree ctx.e_dst v_po suf_edge_ok (v_of_seg s)
           then pclass.(s) <- true
         done
       done;
@@ -2527,47 +2648,46 @@ let probe ctx base (sm : Fault.summary) =
           let pre = Array.make ctx.nv (-1) in
           let seenp = Array.make ctx.nv false in
           seenp.(v_pi) <- true;
-          let stack = ref [ v_pi ] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | u :: rest ->
-                stack := rest;
-                if u = v_pi || clean_through eff u then
-                  List.iter
-                    (fun ei ->
-                      if enabled.(ei) && not corrupt.(ei) then begin
-                        let w = ctx.edges.(ei).e_dst in
-                        if (not seenp.(w)) && w <> v_po && shiftable eff w
-                        then begin
-                          seenp.(w) <- true;
-                          pre.(w) <- ei;
-                          stack := w :: !stack
-                        end
-                      end)
-                    ctx.out_edges.(u)
+          stack.(0) <- v_pi;
+          let sp = ref 1 in
+          while !sp > 0 do
+            decr sp;
+            let u = stack.(!sp) in
+            if u = v_pi || clean_through eff u then
+              for k = ctx.out_adj.off.(u) to ctx.out_adj.off.(u + 1) - 1 do
+                let ei = ctx.out_adj.idx.(k) in
+                if enabled.(ei) && not corrupt.(ei) then begin
+                  let w = ctx.e_dst.(ei) in
+                  if (not seenp.(w)) && w <> v_po && shiftable eff w then begin
+                    seenp.(w) <- true;
+                    pre.(w) <- ei;
+                    stack.(!sp) <- w;
+                    incr sp
+                  end
+                end
+              done
           done;
           (* Any-data backward tree to scan-out. *)
           let suf = Array.make ctx.nv (-1) in
           let seens = Array.make ctx.nv false in
           seens.(v_po) <- true;
-          let stack = ref [ v_po ] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | w :: rest ->
-                stack := rest;
-                List.iter
-                  (fun ei ->
-                    if enabled.(ei) then begin
-                      let u = ctx.edges.(ei).e_src in
-                      if (not seens.(u)) && u <> v_pi then begin
-                        seens.(u) <- true;
-                        suf.(u) <- ei;
-                        stack := u :: !stack
-                      end
-                    end)
-                  ctx.in_edges.(w)
+          stack.(0) <- v_po;
+          sp := 1;
+          while !sp > 0 do
+            decr sp;
+            let w = stack.(!sp) in
+            for k = ctx.in_adj.off.(w) to ctx.in_adj.off.(w + 1) - 1 do
+              let ei = ctx.in_adj.idx.(k) in
+              if enabled.(ei) then begin
+                let u = ctx.e_src.(ei) in
+                if (not seens.(u)) && u <> v_pi then begin
+                  seens.(u) <- true;
+                  suf.(u) <- ei;
+                  stack.(!sp) <- u;
+                  incr sp
+                end
+              end
+            done
           done;
           let round = List.length !frounds in
           let promoted = ref false in
@@ -2590,23 +2710,15 @@ let probe ctx base (sm : Fault.summary) =
         done;
         assert (wf = v.writable);
         let frounds = Array.of_list (List.rev !frounds) in
+        (* A pin on the bit is necessarily to the required value: the
+           certificate edge is steerable under the fault. *)
         let host_edge ei =
-          Array.iter
-            (fun (port, cseg, cbit, required, reset_matches) ->
-              if not reset_matches then begin
-                (* A pin on the bit is necessarily to the required value:
-                   the certificate edge is steerable under the fault. *)
-                let exempt =
-                  List.exists
-                    (fun (m, b, vv) -> (m, b) = port && vv = required)
-                    eff.locked_addr
-                  || List.exists
-                       (fun (s', b', _) -> s' = cseg && b' = cbit)
-                       eff.stuck_shadow
-                in
-                if not exempt then Bitset.add rhosts cseg
-              end)
-            ctx.edges.(ei).e_shadow_reqs
+          let reqs = ctx.edges.(ei).e_shadow_reqs in
+          for r = 0 to Array.length reqs - 1 do
+            let port, cseg, cbit, required, reset_matches = reqs.(r) in
+            if (not reset_matches) && not (exempt port cseg cbit required) then
+              Bitset.add rhosts cseg
+          done
         in
         let pre_done = Array.make ctx.nv false in
         let suf_done = Array.make ctx.nv false in
@@ -2614,29 +2726,28 @@ let probe ctx base (sm : Fault.summary) =
           Array.fill pre_done 0 ctx.nv false;
           Array.fill suf_done 0 ctx.nv false;
           let pre, suf = frounds.(round) in
-          Bitset.iter
-            (fun s ->
-              if fround_of.(s) = round then begin
-                let u = ref (v_of_seg s) in
-                while !u <> v_pi && not pre_done.(!u) do
-                  pre_done.(!u) <- true;
-                  Bitset.add supp !u;
-                  let ei = pre.(!u) in
-                  Bitset.add supp_edges ei;
-                  host_edge ei;
-                  u := ctx.edges.(ei).e_src
-                done;
-                let u = ref (v_of_seg s) in
-                while !u <> v_po && not suf_done.(!u) do
-                  suf_done.(!u) <- true;
-                  Bitset.add supp !u;
-                  let ei = suf.(!u) in
-                  Bitset.add supp_edges ei;
-                  host_edge ei;
-                  u := ctx.edges.(ei).e_dst
-                done
-              end)
-            fragile
+          for s = 0 to ctx.nsegs - 1 do
+            if Bitset.mem fragile s && fround_of.(s) = round then begin
+              let u = ref (v_of_seg s) in
+              while !u <> v_pi && not pre_done.(!u) do
+                pre_done.(!u) <- true;
+                Bitset.add supp !u;
+                let ei = pre.(!u) in
+                Bitset.add supp_edges ei;
+                host_edge ei;
+                u := ctx.e_src.(ei)
+              done;
+              let u = ref (v_of_seg s) in
+              while !u <> v_po && not suf_done.(!u) do
+                suf_done.(!u) <- true;
+                Bitset.add supp !u;
+                let ei = suf.(!u) in
+                Bitset.add supp_edges ei;
+                host_edge ei;
+                u := ctx.e_dst.(ei)
+              done
+            end
+          done
         done
       end;
       { pr_verdict = v; pr_cone = cs; pr_region = region;
@@ -2682,7 +2793,7 @@ let stack ctx base (sm : Fault.summary) =
       s_segs;
       s_bits;
       s_steer = Array.map (edge_steerable ctx eff v.writable) ctx.edges;
-      s_corrupt = Array.map (edge_corrupt eff) ctx.edges;
+      s_corrupt = Array.init (Array.length ctx.edges) (edge_corrupt ctx eff);
     }
   else
     let v, _, steer, corrupt = delta_full ctx stk0 sm eff in
@@ -2724,20 +2835,22 @@ let read_witness ctx fault s =
     let s_clean = coreach_to_po ctx eff writable ~clean:true in
     if not (r_any.(target) && s_clean.(target)) then None
     else begin
-      let prefix_edge_ok e =
-        edge_steerable ctx eff writable e
-        && (e.e_src = v_pi || r_any.(e.e_src))
+      let prefix_edge_ok ei =
+        let u = ctx.e_src.(ei) in
+        edge_steerable ctx eff writable ctx.edges.(ei)
+        && (u = v_pi || r_any.(u))
       in
       let prefix_vertex_ok v = v = target || (v <> v_po && r_any.(v)) in
       let _, pre_prev, pre_edge =
         shortest_paths ctx ~src:v_pi ~edge_ok:prefix_edge_ok
           ~vertex_ok:prefix_vertex_ok
       in
-      let suffix_edge_ok e =
-        (not (edge_corrupt eff e))
-        && edge_steerable ctx eff writable e
-        && (e.e_src = target || (s_clean.(e.e_src) && clean_through eff e.e_src))
-        && shiftable eff e.e_src
+      let suffix_edge_ok ei =
+        let u = ctx.e_src.(ei) in
+        (not (edge_corrupt ctx eff ei))
+        && edge_steerable ctx eff writable ctx.edges.(ei)
+        && (u = target || (s_clean.(u) && clean_through eff u))
+        && shiftable eff u
       in
       let suffix_vertex_ok v =
         v = v_po || (s_clean.(v) && shiftable eff v)

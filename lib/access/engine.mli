@@ -29,6 +29,14 @@ val make_ctx : Ftrsn_rsn.Netlist.t -> ctx
 
 val netlist : ctx -> Ftrsn_rsn.Netlist.t
 
+val out_edges : ctx -> int -> int array
+(** [out_edges ctx v] lists the edges leaving dataflow vertex [v] (edge
+    indices of {!edge_routes}) in the order every traversal visits them:
+    descending index.  A copy of the context's flat adjacency row. *)
+
+val in_edges : ctx -> int -> int array
+(** The edges entering [v], likewise. *)
+
 type verdict = {
   writable : bool array;    (** per segment *)
   readable : bool array;    (** per segment *)

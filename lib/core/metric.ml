@@ -1082,20 +1082,19 @@ let pair_diagonal_add pq ps i =
    get here). *)
 let pair_disjoint_add pq ps i j =
   ps.ps_disjoint <- ps.ps_disjoint + 1;
-  let keep, lost =
-    if Array.length pq.pq_lost.(j) <= Array.length pq.pq_lost.(i) then
-      (i, pq.pq_lost.(j))
-    else (j, pq.pq_lost.(i))
+  let keep =
+    if Array.length pq.pq_lost.(j) <= Array.length pq.pq_lost.(i) then i else j
   in
+  let lost = pq.pq_lost.(i + j - keep) in
   let acc = pq.pq_acc.(keep) in
   let dsegs = ref 0 and dbits = ref 0 in
-  Array.iter
-    (fun s ->
-      if Bitset.mem acc s then begin
-        incr dsegs;
-        dbits := !dbits + pq.pq_len.(s)
-      end)
-    lost;
+  for t = 0 to Array.length lost - 1 do
+    let s = lost.(t) in
+    if Bitset.mem acc s then begin
+      incr dsegs;
+      dbits := !dbits + pq.pq_len.(s)
+    end
+  done;
   iacc_add ps.ps_acc ~w:(pq.pq_weight.(i) * pq.pq_weight.(j))
     ~n:(pq.pq_members.(i) * pq.pq_members.(j))
     ~segs:(pq.pq_segs.(keep) - !dsegs)
@@ -1125,15 +1124,27 @@ let pair_row pq ps i ~interact =
 
 (* [pair_row] with the interacting partners DEFERRED instead of
    evaluated in place: the lane scheduler's discovery pass, which runs
-   the gates and the pure counting exactly once and hands the
-   interacting column indices (ascending) to the lane-batch planner. *)
-let pair_row_defer pq ps i ~defer =
+   the gates and the pure counting exactly once and returns the
+   interacting column indices (ascending) for the lane-batch planner.
+   [buf] is the worker's scratch, grown on demand and reused by every
+   row, so a row allocates only its result. *)
+let pair_row_defer pq ps buf i =
   let nc = Array.length pq.pq_sms in
   pair_diagonal_add pq ps i;
+  let n = ref 0 in
   for j = i + 1 to nc - 1 do
     if pair_disjoint_gates pq i j then pair_disjoint_add pq ps i j
-    else defer j
-  done
+    else begin
+      if !n = Array.length !buf then begin
+        let grown = Array.make (max 16 (2 * !n)) 0 in
+        Array.blit !buf 0 grown 0 !n;
+        buf := grown
+      end;
+      !buf.(!n) <- j;
+      incr n
+    end
+  done;
+  Array.sub !buf 0 !n
 
 let finish_pair_partials ~net ~nclasses partials =
   let acc = iacc_create () in
@@ -1296,12 +1307,9 @@ let evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model net
     let inter = Array.make nc [||] in
     let partials_a =
       steal_map ~domains (Array.init nc Fun.id)
-        ~init:(fun _ -> pair_state ())
-        ~step:(fun ps i ->
-          let defer = ref [] in
-          pair_row_defer pq ps i ~defer:(fun j -> defer := j :: !defer);
-          if !defer <> [] then inter.(i) <- Array.of_list (List.rev !defer))
-        ~finish:(fun ps -> (ps, None))
+        ~init:(fun _ -> (pair_state (), ref [||]))
+        ~step:(fun (ps, buf) i -> inter.(i) <- pair_row_defer pq ps buf i)
+        ~finish:(fun (ps, _) -> (ps, None))
     in
     (* Phase 2b: lane-batch-granular steal units.  Per interacting row,
        [Engine.lane_plan] shape-groups the partner summaries (fast

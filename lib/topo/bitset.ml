@@ -49,9 +49,12 @@ let same_capacity a b op =
 
 let disjoint a b =
   same_capacity a b "disjoint";
-  let n = Array.length a.words in
-  let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
-  go 0
+  let aw = a.words and bw = b.words in
+  let i = ref 0 and n = Array.length aw in
+  while !i < n && Array.unsafe_get aw !i land Array.unsafe_get bw !i = 0 do
+    incr i
+  done;
+  !i = n
 
 let inter_into dst src =
   same_capacity dst src "inter_into";
@@ -99,6 +102,17 @@ let iter f s =
         if w land (1 lsl b) <> 0 then f ((wi * bits_per_word) + b)
       done
   done
+
+let rec trailing_zeros w k =
+  if w land 1 = 1 then k else trailing_zeros (w lsr 1) (k + 1)
+
+let rec next s i =
+  if i >= s.n then -1
+  else if i < 0 then next s 0
+  else
+    let w = s.words.(i / bits_per_word) lsr (i mod bits_per_word) in
+    if w <> 0 then i + trailing_zeros w 0
+    else next s ((i / bits_per_word + 1) * bits_per_word)
 
 let elements s =
   let acc = ref [] in

@@ -45,6 +45,13 @@ val andn_into : t -> t -> unit
 val iter : (int -> unit) -> t -> unit
 (** [iter f s] applies [f] to every member in increasing order. *)
 
+val next : t -> int -> int
+(** [next s i] is the least member [>= i], or [-1] if there is none.
+    Zero words are skipped whole.  The loop
+    [let i = ref (next s 0) in while !i >= 0 do ...; i := next s (!i + 1) done]
+    visits the members in increasing order without allocating, unlike
+    {!iter} with a closure that captures its context. *)
+
 val elements : t -> int list
 (** Members in increasing order. *)
 

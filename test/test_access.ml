@@ -913,6 +913,145 @@ let prop_counts_random =
       in
       counts_mismatch net = None)
 
+(* ---- flat adjacency and allocation-free kernels ---- *)
+
+(* The per-vertex edge lists the engine built before its adjacency was
+   flattened, kept as the oracle of [Engine.out_edges]/[in_edges]: edge
+   indices prepended in ascending order, so each list is descending. *)
+let list_adjacency ctx =
+  let edges = Engine.edge_routes ctx in
+  let nv = Netlist.num_segments (Engine.netlist ctx) + 2 in
+  let out_edges = Array.make nv [] and in_edges = Array.make nv [] in
+  Array.iteri
+    (fun i (u, v, _) ->
+      out_edges.(u) <- i :: out_edges.(u);
+      in_edges.(v) <- i :: in_edges.(v))
+    edges;
+  (out_edges, in_edges)
+
+(* [None] when every edge sits exactly once in its source's out-row and
+   once in its destination's in-row, and every row equals the oracle's
+   list, order included. *)
+let csr_mismatch net =
+  let ctx = Engine.make_ctx net in
+  let edges = Engine.edge_routes ctx in
+  let nv = Netlist.num_segments net + 2 in
+  let outs = Array.init nv (Engine.out_edges ctx) in
+  let ins = Array.init nv (Engine.in_edges ctx) in
+  let seen_out = Array.make (Array.length edges) 0 in
+  let seen_in = Array.make (Array.length edges) 0 in
+  let bad = ref None in
+  let fail what = if !bad = None then bad := Some what in
+  Array.iteri
+    (fun v row ->
+      Array.iter
+        (fun ei ->
+          let u, _, _ = edges.(ei) in
+          if u <> v then fail "out-row of another vertex";
+          seen_out.(ei) <- seen_out.(ei) + 1)
+        row)
+    outs;
+  Array.iteri
+    (fun v row ->
+      Array.iter
+        (fun ei ->
+          let _, w, _ = edges.(ei) in
+          if w <> v then fail "in-row of another vertex";
+          seen_in.(ei) <- seen_in.(ei) + 1)
+        row)
+    ins;
+  if Array.exists (( <> ) 1) seen_out then fail "edge not once in out-rows";
+  if Array.exists (( <> ) 1) seen_in then fail "edge not once in in-rows";
+  let lo, li = list_adjacency ctx in
+  if Array.map Array.of_list lo <> outs then fail "out-row order";
+  if Array.map Array.of_list li <> ins then fail "in-row order";
+  !bad
+
+let prop_csr_random =
+  QCheck.Test.make ~name:"flat adjacency = list adjacency (random nets, FT)"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let net =
+        Ftrsn_rsn.Random_net.generate ~seed ~segments:(4 + (seed mod 12)) ()
+      in
+      csr_mismatch net = None
+      &&
+      match Ftrsn_core.Pipeline.synthesize net with
+      | r -> csr_mismatch r.Ftrsn_core.Pipeline.ft = None
+      | exception Failure _ -> true)
+
+(* Minor words allocated by [f ()]: [Gc.minor_words] counts the calling
+   domain only, so the reading is exact and deterministic. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A reused workspace's counting sweep allocates a constant per batch
+   (its stats record, 6 words), not a function of the network: checked
+   on u226 and its larger FT rework, against the fault-free base and a
+   stacked one.  One closure per lane would already exceed the bound.
+   The batches are prebuilt, so only the sweep is measured. *)
+let test_lane_alloc_guard () =
+  let net =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))
+  in
+  let ft = (Ftrsn_core.Pipeline.synthesize net).Ftrsn_core.Pipeline.ft in
+  let bound = 64.0 in
+  List.iter
+    (fun (name, net) ->
+      let ctx = Engine.make_ctx net in
+      let base = Engine.baseline ctx in
+      let sms =
+        Array.of_list
+          (List.map
+             (fun c -> c.Fault.cls_summary)
+             (Fault.collapse net (Fault.universe net)))
+      in
+      let _, plan = Engine.lane_plan base sms in
+      let batches = List.map (Array.map (fun i -> sms.(i))) plan in
+      let primary =
+        List.find
+          (fun sm -> Fault.summary_shape sm = Fault.General)
+          (Array.to_list sms)
+      in
+      let ws = Engine.lane_workspace ctx in
+      let f _ _ _ _ = () in
+      List.iter
+        (fun (what, stk) ->
+          List.iter
+            (fun b -> ignore (Engine.lane_batch_counts ctx ws stk b f))
+            batches;
+          let worst =
+            List.fold_left
+              (fun acc b ->
+                max acc
+                  (minor_words (fun () ->
+                       ignore (Engine.lane_batch_counts ctx ws stk b f))))
+              0.0 batches
+          in
+          check bool_t
+            (Printf.sprintf "%s, %s base: %.0f minor words per batch <= %.0f"
+               name what worst bound)
+            true
+            (batches <> [] && worst <= bound))
+        [
+          ("fault-free", Engine.of_baseline base);
+          ("stacked", Engine.stack ctx base primary);
+        ];
+      let module Bitset = Ftrsn_topo.Bitset in
+      let a = Bitset.create 1000 and b = Bitset.create 1000 in
+      Bitset.add a 999;
+      check (Alcotest.float 0.0)
+        (name ^ ": Bitset.disjoint allocates nothing")
+        0.0
+        (minor_words (fun () ->
+             for _ = 1 to 1000 do
+               ignore (Sys.opaque_identity (Bitset.disjoint a b))
+             done)))
+    [ ("u226", net); ("u226-ft", ft) ]
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -982,4 +1121,7 @@ let suite =
     Alcotest.test_case "class counts = count . analyze_delta (u226, FT)" `Quick
       test_counts_itc02_ft;
     Testseed.to_alcotest_in ~file:"test_access" prop_counts_random;
+    Testseed.to_alcotest_in ~file:"test_access" prop_csr_random;
+    Alcotest.test_case "lane batch allocation guard (u226, FT)" `Quick
+      test_lane_alloc_guard;
   ]

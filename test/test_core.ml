@@ -693,6 +693,12 @@ let test_pairs_exhaustive_u226 () =
     Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16 ~domains:3 net
   in
   check bool_t "parallel exhaustive identical" true (same_result red par);
+  (* The dispatch is structural: every row is discovered, stacked and
+     batched the same way whichever domain runs it. *)
+  check bool_t "parallel pair dispatch identical" true
+    (par.Metric.pairs = red.Metric.pairs && par.Metric.pairs <> None);
+  check bool_t "parallel pair-lane stats identical" true
+    (par.Metric.pair_lanes = red.Metric.pair_lanes);
   (* the scalar stacked ablation reproduces the lane sweep bit for bit,
      and only the lane sweep reports pair-lane counters *)
   let scalar =

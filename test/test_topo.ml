@@ -195,7 +195,23 @@ let test_bitset () =
   check (Alcotest.list int_t) "union" [ 0; 50; 99 ] (Bitset.elements t);
   let u = Bitset.create 100 in
   Bitset.fill u;
-  check int_t "fill" 100 (Bitset.cardinal u)
+  check int_t "fill" 100 (Bitset.cardinal u);
+  (* [next]: members in increasing order, across word boundaries. *)
+  let by_next s =
+    let acc = ref [] and i = ref (Bitset.next s 0) in
+    while !i >= 0 do
+      acc := !i :: !acc;
+      i := Bitset.next s (!i + 1)
+    done;
+    List.rev !acc
+  in
+  List.iter
+    (fun x ->
+      check (Alcotest.list int_t) "next walk = elements" (Bitset.elements x)
+        (by_next x))
+    [ s; t; u; Bitset.of_list 130 [ 62; 63; 125; 126; 129 ]; Bitset.create 0 ];
+  check int_t "next from a member" 63 (Bitset.next s 63);
+  check int_t "next past the last member" (-1) (Bitset.next s 100)
 
 (* Word-boundary behavior: 100 is not a multiple of the 63-bit word, so
    the second word is partial — fill must not set ghost bits beyond [n],
