@@ -102,6 +102,7 @@ let small_ctx = Engine.make_ctx small
 
 let lane_per_fault net ctx =
   let base = Engine.baseline ctx in
+  let stk = Engine.of_baseline base in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
   let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
   let _, batches = Engine.lane_plan base sms in
@@ -115,10 +116,32 @@ let lane_per_fault net ctx =
       if !pending = 0 then begin
         let b = batches.(!next) in
         next := (!next + 1) mod Array.length batches;
-        ignore (Engine.analyze_lane_batch ctx base b);
+        ignore (Engine.analyze_lane_batch_on ctx stk b);
         pending := Array.length b
       end;
       decr pending
+
+(* The verdicts of every class of [net]'s universe, planned as the
+   metric's single-fault sweep plans them: lane batches through
+   [Engine.analyze_lane_batch_on] on the fault-free root, the fast
+   classes through the scalar [Engine.analyze_delta_on]. *)
+let lane_sweep_all ctx classes =
+  let base = Engine.baseline ctx in
+  let stk = Engine.of_baseline base in
+  let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
+  let fast, batches = Engine.lane_plan base sms in
+  let out = Array.make (Array.length sms) (Engine.baseline_verdict base) in
+  List.iter
+    (fun i -> out.(i) <- fst (Engine.analyze_delta_on ctx stk sms.(i)))
+    fast;
+  List.iter
+    (fun idxs ->
+      let vs, _ =
+        Engine.analyze_lane_batch_on ctx stk (Array.map (Array.get sms) idxs)
+      in
+      Array.iteri (fun l i -> out.(i) <- fst vs.(l)) idxs)
+    batches;
+  out
 
 let u226_classes =
   lazy (Array.of_list (Fault.collapse u226 (Fault.universe u226)))
@@ -143,7 +166,7 @@ let ablation_engines =
         (Staged.stage (lane_per_fault u226_ft u226_ft_ctx));
       Test.make ~name:"lane_sweep_all_u226"
         (Staged.stage (fun () ->
-             ignore (Engine.analyze_lanes u226_ctx (Lazy.force u226_classes))));
+             ignore (lane_sweep_all u226_ctx (Lazy.force u226_classes))));
     ]
 
 (* Ablation: one incremental session sweeping a fault universe vs
@@ -286,11 +309,6 @@ let double_fault =
              ignore
                (Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16
                   u226_ft)));
-      Test.make ~name:"pairs_scalar_u226_s16"
-        (Staged.stage (fun () ->
-             ignore
-               (Metric.evaluate_pairs ~exhaustive:true ~lanes:false
-                  ~fault_sample:16 u226)));
       Test.make ~name:"pairs_reduced_u226_full"
         (Staged.stage (fun () ->
              ignore (Metric.evaluate_pairs ~exhaustive:true u226)));
@@ -305,8 +323,7 @@ let double_fault =
    amortized cost of one (primary, secondary) verdict.  The
    stacked_scalar_per_pair_* rows run [Engine.analyze_delta_on] over the
    SAME batched secondaries one at a time — the pre-lane cost of exactly
-   the same verdicts, so lane/scalar is the per-pair speedup the
-   end-to-end pairs_scalar_u226_s16 ablation shows at sweep scale. *)
+   the same verdicts, so lane/scalar is the per-pair lane speedup. *)
 let stacked_pair_inputs net ctx =
   let base = Engine.baseline ctx in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
@@ -865,7 +882,7 @@ let compare_benches old_path new_path =
 let lane_agree name net =
   let ctx = Engine.make_ctx net in
   let classes = Array.of_list (Fault.collapse net (Fault.universe net)) in
-  let vs = Engine.analyze_lanes ctx classes in
+  let vs = lane_sweep_all ctx classes in
   Array.iteri
     (fun i c ->
       if vs.(i) <> Engine.analyze ctx (Some c.Fault.cls_rep) then
@@ -902,15 +919,6 @@ let smoke () =
       ()
   | Some _ -> failwith "smoke: pair dispatch stats do not cover all pairs"
   | None -> failwith "smoke: exhaustive pair sweep reported no stats");
-  (* the lane-parallel stacked path and its scalar ablation agree with
-     each other (and, transitively, with the brute enumeration above) *)
-  let psc = Metric.evaluate_pairs ~exhaustive:true ~lanes:false small in
-  if
-    pr.Metric.worst_segments <> psc.Metric.worst_segments
-    || pr.Metric.avg_segments <> psc.Metric.avg_segments
-    || pr.Metric.worst_bits <> psc.Metric.worst_bits
-    || pr.Metric.avg_bits <> psc.Metric.avg_bits
-  then failwith "smoke: lane pair sweep disagrees with scalar stacked path";
   (match Metric.evaluate_pairs ~model:Fault.Transient small with
   | exception Metric.Unsupported _ -> ()
   | _ -> failwith "smoke: transient pairs must raise Metric.Unsupported");

@@ -120,8 +120,8 @@ let pool_stats_line () =
     p.Response.po_entries
     (p.Response.po_bytes / 1024)
 
-let cmd_metric spec sample domains engine model brute pairs no_pair_lanes
-    no_inprocess json with_stats =
+let cmd_metric spec sample domains engine model brute pairs no_inprocess json
+    with_stats =
   let net = Query.net_spec_of_cli spec in
   (* Human output renders the full Metric.pp line (steals, solver stats),
      so it needs the volatile block; JSON keeps the deterministic default
@@ -138,7 +138,7 @@ let cmd_metric spec sample domains engine model brute pairs no_pair_lanes
           pq_engine = engine;
           pq_reduce = not brute;
           pq_inprocess = not no_inprocess;
-          pq_lanes = not no_pair_lanes;
+          pq_lanes = true;
           pq_model = model;
           pq_with_stats = ws;
         }
@@ -383,19 +383,10 @@ let () =
                universe (not the pairs); $(b,--brute) enumerates all pairs \
                one by one.")
     in
-    let no_pair_lanes =
-      Arg.(
-        value & flag
-        & info [ "no-pair-lanes" ]
-            ~doc:
-              "Disable the lane-parallel interacting-pair sweep; every \
-               stacked secondary is analysed one at a time.  Results are \
-               identical, only slower.  Ablation switch.")
-    in
     Cmd.v (Cmd.info "metric" ~doc:"Fault-tolerance metric")
       Term.(
         const cmd_metric $ spec $ sample $ domains $ engine $ model $ brute
-        $ pairs $ no_pair_lanes $ no_inprocess $ json $ with_stats)
+        $ pairs $ no_inprocess $ json $ with_stats)
   in
   let certify_cmd =
     let pairs =

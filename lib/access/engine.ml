@@ -641,9 +641,6 @@ let access_witness ctx fault s =
     | _ -> None
   end
 
-let access_path ctx fault s =
-  Option.map (fun w -> w.w_vertices) (access_witness ctx fault s)
-
 (* ---- fault-free baseline and cone-of-influence deltas ----
 
    The metric evaluates every fault of the universe against the same
@@ -1137,8 +1134,6 @@ type stacked = {
   s_corrupt : bool array;  (* per edge: corruption under the stacked effects *)
 }
 
-let stacked_verdict stk = stk.s_verdict
-
 let of_baseline base =
   {
     s_base = base;
@@ -1585,8 +1580,8 @@ let lane_plan base (sms : Fault.summary array) =
    outside the union cone the combined least fixpoint equals the
    stacked one: each seed starts at or below its lane's combined least
    fixpoint and the monotone word iteration converges to exactly it.
-   With a fault-free root ([of_baseline]) this is [analyze_lane_batch]
-   verbatim. *)
+   With a fault-free root ([of_baseline]) the union cone is the delta's
+   own cone, so the single-fault sweep is the same code. *)
 (* A batch workspace: every array one lane sweep needs, sized for one
    [ctx] and reused across batches, so a sweep of thousands of batches
    allocates them once.  Owned by one worker at a time (it is mutable
@@ -1906,19 +1901,19 @@ let lane_sweep ctx ws stk (sms : Fault.summary array) =
   let base = stk.s_base in
   let k = Array.length sms in
   if k = 0 || k > lane_width then
-    invalid_arg "Engine.analyze_lane_batch: batch size";
+    invalid_arg "Engine.lane_sweep: batch size";
   (match stk.s_sm with
   | Some s0 when s0.Fault.sm_glitch_shadow <> [] ->
-      invalid_arg "Engine.analyze_lane_batch: glitch stacked base (scalar only)"
+      invalid_arg "Engine.lane_sweep: glitch stacked base (scalar only)"
   | _ -> ());
   for l = 0 to k - 1 do
     if sms.(l).Fault.sm_glitch_shadow <> [] then
-      invalid_arg "Engine.analyze_lane_batch: glitch summary (scalar only)"
+      invalid_arg "Engine.lane_sweep: glitch summary (scalar only)"
   done;
   if Array.length ws.lw_writable <> ctx.nsegs
      || Array.length ws.lw_stack <> ctx.nv
      || Array.length ws.lw_steer <> Array.length ctx.edges
-  then invalid_arg "Engine.analyze_lane_batch: workspace of another context";
+  then invalid_arg "Engine.lane_sweep: workspace of another context";
   let occ = Lanes.lane_mask k in
   let nsegs = ctx.nsegs in
   let nedges = Array.length ctx.edges in
@@ -2103,71 +2098,6 @@ let lane_batch_counts ctx ws stk sms f =
     f l segs.(l) bits.(l) ws.lw_cone_lens.(l)
   done;
   stats
-
-let analyze_lane_batch ctx base sms =
-  analyze_lane_batch_on ctx (of_baseline base) sms
-
-(* Lane sweep of many summaries against one stacked root: fast-path
-   deltas scalar (they never occupy a lane), the rest shape-grouped and
-   batched by [lane_plan] exactly as the single-fault sweep.  A glitchy
-   stacked root falls back to the scalar delta per summary (the word
-   steering rule has no notion of upset initial values); the verdicts
-   stay bit-identical to [analyze_delta_on] either way. *)
-let analyze_lanes_on ctx stk (sms : Fault.summary array) =
-  let stacked_glitch =
-    match stk.s_sm with
-    | Some s0 -> s0.Fault.sm_glitch_shadow <> []
-    | None -> false
-  in
-  if stacked_glitch then
-    ( Array.map (analyze_delta_on ctx stk) sms,
-      { lane_stats_zero with ls_fast = Array.length sms } )
-  else begin
-    let fast, batches = lane_plan stk.s_base sms in
-    let out = Array.make (Array.length sms) (stk.s_verdict, 0) in
-    let stats = ref lane_stats_zero in
-    List.iter
-      (fun i ->
-        out.(i) <- analyze_delta_on ctx stk sms.(i);
-        stats := { !stats with ls_fast = !stats.ls_fast + 1 })
-      fast;
-    let ws = lane_workspace ctx in
-    List.iter
-      (fun idxs ->
-        let batch = Array.map (fun i -> sms.(i)) idxs in
-        let st = lane_sweep ctx ws stk batch in
-        let vs = lane_verdicts ctx ws in
-        Array.iteri (fun j i -> out.(i) <- vs.(j)) idxs;
-        stats := lane_stats_add !stats st)
-      batches;
-    (out, !stats)
-  end
-
-let analyze_lanes_stats ctx ?base (classes : Fault.clas array) =
-  let base = match base with Some b -> b | None -> baseline ctx in
-  let sms = Array.map (fun c -> c.Fault.cls_summary) classes in
-  let fast, batches = lane_plan base sms in
-  let out = Array.make (Array.length classes) base.b_verdict in
-  let stats = ref lane_stats_zero in
-  List.iter
-    (fun i ->
-      let v, _ = analyze_delta ctx base sms.(i) in
-      out.(i) <- v;
-      stats := { !stats with ls_fast = !stats.ls_fast + 1 })
-    fast;
-  let stk = of_baseline base and ws = lane_workspace ctx in
-  List.iter
-    (fun idxs ->
-      let batch = Array.map (fun i -> sms.(i)) idxs in
-      let st = lane_sweep ctx ws stk batch in
-      let vs = lane_verdicts ctx ws in
-      Array.iteri (fun j i -> out.(i) <- fst vs.(j)) idxs;
-      stats := lane_stats_add !stats st)
-    batches;
-  (out, !stats)
-
-let analyze_lanes ctx ?base classes =
-  fst (analyze_lanes_stats ctx ?base classes)
 
 (* ---- pair probes: exact taints and interaction regions ----
 
@@ -2773,9 +2703,7 @@ let cone ctx base (sm : Fault.summary) =
 let stack ctx base (sm : Fault.summary) =
   let stk0 = of_baseline base in
   let eff = stacked_eff ctx stk0 sm in
-  if
-    Fault.summary_benign sm || only_kill_read sm || local_kill_write base sm
-  then
+  if lane_fast base sm then
     let v, _ = analyze_delta_on ctx stk0 sm in
     let s_segs, s_bits = verdict_counts ctx v in
     { stk0 with s_sm = Some sm; s_eff = Some eff; s_verdict = v; s_segs; s_bits }

@@ -65,7 +65,8 @@ val accessible_bits : ctx -> verdict -> int
     Evaluating the whole fault universe repeats almost identical work per
     fault: most stuck-ats disturb only a small cone of the dataflow graph.
     {!baseline} packages the fault-free verdict together with static
-    reachability and steering-dependency tables; {!analyze_delta} then
+    reachability and steering-dependency tables; a delta on the
+    fault-free stacked state ({!of_baseline}, {!analyze_delta_on}) then
     re-runs the writability fixpoint and the final traversals only for
     segments inside the fault's cone and splices the fault-free verdict
     for the rest.  The result is bit-identical to {!analyze} — outside the
@@ -107,8 +108,9 @@ val cone : ctx -> baseline -> Ftrsn_fault.Fault.summary -> Ftrsn_topo.Bitset.t o
 
 type probe = {
   pr_verdict : verdict;
-      (** the class verdict, = [analyze_delta]'s (may share arrays with
-          the baseline verdict; treat as immutable) *)
+      (** the class verdict, = [analyze_delta_on ctx (of_baseline base)]'s
+          (may share arrays with the baseline verdict; treat as
+          immutable) *)
   pr_cone : Ftrsn_topo.Bitset.t;
       (** segment indices whose verdict differs from the fault-free
           baseline — EXACT (the verdict diff) unless [pr_coarse], then
@@ -175,17 +177,9 @@ val probe : ctx -> baseline -> Ftrsn_fault.Fault.summary -> probe
 (** The verdict, tight cone and interaction region of a summary.
     [pr_cone] agrees with {!cone} (modulo [None] vs empty). *)
 
-val analyze_delta :
-  ctx -> baseline -> Ftrsn_fault.Fault.summary -> verdict * int
-(** [analyze_delta ctx base sm] is the verdict under the summarized fault,
-    bit-identical to [analyze ctx (Some f)] for any fault [f] with summary
-    [sm], together with the cone size ([0] for a benign summary).  The
-    returned verdict may share arrays with {!baseline_verdict}; treat it
-    as immutable. *)
-
 (** {2 Lane-parallel batch sweeps}
 
-    [analyze_delta] still pays one fixpoint per class.  The lane sweep
+    A cone delta still pays one fixpoint per class.  The lane sweep
     transposes the computation: up to {!lane_width} classes share ONE
     fixpoint — every per-vertex / per-edge predicate becomes a machine
     word whose bit L answers lane L, and word-level AND/OR/ANDN replace
@@ -193,7 +187,7 @@ val analyze_delta :
     with the baseline minus the lane's cone, so the sweep composes with
     the cone reduction; lanes whose seed is already settled never
     promote.  The per-lane verdicts are bit-identical to
-    {!analyze_delta}'s, hence to {!analyze}'s. *)
+    {!analyze_delta_on}'s, hence to {!analyze}'s. *)
 
 val lane_width : int
 (** Classes per batch: [Ftrsn_topo.Lanes.width] = [Sys.int_size] (63 on
@@ -210,41 +204,15 @@ type lane_stats = {
 val lane_stats_zero : lane_stats
 val lane_stats_add : lane_stats -> lane_stats -> lane_stats
 
-val lane_fast : baseline -> Ftrsn_fault.Fault.summary -> bool
-(** Classes {!analyze_delta} answers without any traversal (benign,
-    pure kill-read, local kill-write); they never occupy a lane. *)
-
 val lane_plan :
   baseline -> Ftrsn_fault.Fault.summary array -> int list * int array list
 (** [lane_plan base sms] splits the summaries into the fast indices
-    (input order) and the lane batches: non-fast indices grouped by
+    (input order) — classes {!delta_counts} answers without any traversal
+    (benign, pure kill-read, local kill-write) and glitch summaries, which
+    stay scalar — and the lane batches: non-fast indices grouped by
     {!Ftrsn_fault.Fault.summary_shape} — dead-port classes, whose cones
     are the whole network, batch separately — then chunked
     {!lane_width} wide in input order.  Deterministic. *)
-
-val analyze_lane_batch :
-  ctx ->
-  baseline ->
-  Ftrsn_fault.Fault.summary array ->
-  (verdict * int) array * lane_stats
-(** One batch of [1 .. lane_width] non-fast summaries, one shared
-    fixpoint: per summary the verdict and cone size, bit-identical to
-    {!analyze_delta} on the same summary.  The returned stats cover
-    this batch alone ([ls_batches = 1]). *)
-
-val analyze_lanes :
-  ctx -> ?base:baseline -> Ftrsn_fault.Fault.clas array -> verdict array
-(** [analyze_lanes ctx classes] is the per-class verdict array,
-    bit-identical to [analyze_delta ctx base cls_summary] for each
-    class (fast classes via the fast paths, the rest in lane batches).
-    [base] defaults to a freshly computed {!baseline}. *)
-
-val analyze_lanes_stats :
-  ctx ->
-  ?base:baseline ->
-  Ftrsn_fault.Fault.clas array ->
-  verdict array * lane_stats
-(** {!analyze_lanes} plus the accumulated batch statistics. *)
 
 (** {2 Stacked secondary baselines (double-fault deltas)}
 
@@ -265,44 +233,34 @@ val stack : ctx -> baseline -> Ftrsn_fault.Fault.summary -> stacked
     (the fault-free stacked state when [sm] is benign). *)
 
 val of_baseline : baseline -> stacked
-(** The fault-free stacked state: deltas on it are {!analyze_delta}'s. *)
-
-val stacked_verdict : stacked -> verdict
-(** The verdict under the stacked summary (= [analyze_delta ctx base sm]'s
-    verdict). *)
+(** The fault-free stacked state: a delta on it is the verdict under the
+    delta summary alone, bit-identical to [analyze ctx (Some f)] for any
+    fault [f] with that summary. *)
 
 val analyze_delta_on :
   ctx -> stacked -> Ftrsn_fault.Fault.summary -> verdict * int
 (** [analyze_delta_on ctx stk sm] is the verdict under the UNION of the
     stacked summary and [sm], bit-identical to [analyze_multi] over both
-    faults, with the delta's cone size.  [analyze_delta] is the special
-    case over the fault-free stacked state. *)
+    faults, with the delta's cone size ([0] for a benign delta).  The
+    returned verdict may share arrays with the stacked state; treat it
+    as immutable. *)
 
 val analyze_lane_batch_on :
   ctx ->
   stacked ->
   Ftrsn_fault.Fault.summary array ->
   (verdict * int) array * lane_stats
-(** {!analyze_lane_batch} rooted at a stacked (possibly faulty) base:
-    one batch of [1 .. lane_width] non-fast, non-glitch summaries swept
-    against the secondary baseline in one shared fixpoint.  The stacked
-    summary's effect masks are folded into every lane, and each lane's
-    writability seed is the stacked writable set minus the cone of the
-    UNION of the stacked and delta summaries — so per summary the
+(** One batch of [1 .. lane_width] non-fast, non-glitch summaries swept
+    against a stacked (possibly faulty) base in one shared fixpoint, read
+    out as per-summary verdicts — the verdict view of the kernel
+    {!lane_batch_counts} counts from.  The stacked summary's effect masks
+    are folded into every lane, and each lane's writability seed is the
+    stacked writable set minus the cone of the UNION of the stacked and
+    delta summaries — so per summary the
     verdict and cone size are bit-identical to {!analyze_delta_on} on
-    the same summary.  Raises [Invalid_argument] on a glitchy (transient)
-    stacked base or delta: those stay scalar. *)
-
-val analyze_lanes_on :
-  ctx ->
-  stacked ->
-  Ftrsn_fault.Fault.summary array ->
-  (verdict * int) array * lane_stats
-(** Many summaries against one stacked root: fast classes through the
-    scalar {!analyze_delta_on} fast paths, the rest shape-grouped and
-    chunked by {!lane_plan} into {!analyze_lane_batch_on} sweeps.  Per
-    summary bit-identical to {!analyze_delta_on}; a glitchy stacked root
-    degrades to all-scalar (counted in [ls_fast]) instead of raising. *)
+    the same summary.  Raises [Invalid_argument] on an empty or oversized
+    batch and on a glitchy (transient) stacked base or delta: those stay
+    scalar. *)
 
 (** {2 Allocation-free counting sweeps} *)
 
@@ -327,7 +285,9 @@ val lane_batch_counts :
     its cone size, read straight from the lane words — no verdict array
     is built.  Equal to {!accessible_count}/{!accessible_bits} of
     {!analyze_delta_on} on [sms.(l)].  [ws] must come from
-    {!lane_workspace} on the same [ctx]. *)
+    {!lane_workspace} on the same [ctx]; the batch rules and
+    [Invalid_argument]s are {!analyze_lane_batch_on}'s, plus one for a
+    workspace of another context. *)
 
 val delta_counts : ctx -> stacked -> Ftrsn_fault.Fault.summary -> int * int * int
 (** [(segs, bits, cone)] of {!analyze_delta_on}: accessible segments and
@@ -348,9 +308,6 @@ val access_witness : ctx -> Ftrsn_fault.Fault.t option -> int -> witness option
     minimum-shift-length scan path through [s] with a corruption-free
     prefix and steerable muxes, together with the mux route chosen for each
     hop — the witness used for pattern retargeting in the faulty RSN. *)
-
-val access_path : ctx -> Ftrsn_fault.Fault.t option -> int -> int list option
-(** The vertices of {!access_witness}. *)
 
 val read_witness : ctx -> Ftrsn_fault.Fault.t option -> int -> witness option
 (** The read counterpart of {!access_witness}: a scan path through the

@@ -274,7 +274,7 @@ let solve p =
    i.e. iff [idom v = t].  The paths map back one-to-one because every
    path leaves [t] through its own subdivision vertex — in particular a
    direct edge [t -> v] counts once, exactly as in the flow formulation
-   ({!Ftrsn_topo.Menger.vertex_disjoint_paths}).  [edges] lists the
+   (the vertex-split flow of the Menger test oracle).  [edges] lists the
    graph's edges as seen from [t] (the transpose for the sink side). *)
 let terminal_idoms ~n ~t edges =
   let g = Digraph.create ~size_hint:(2 * n) () in

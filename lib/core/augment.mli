@@ -86,5 +86,6 @@ val verify : problem -> (int * int) list -> (unit, string) result
     internally disjoint paths to the terminal iff its immediate dominator
     is the terminal (Menger's theorem in vertex-cut form; DESIGN.md §19).
     Linear-ish in the graph size, where one max-flow per vertex
-    ({!Ftrsn_topo.Menger}, kept as the test oracle) is quadratic.
+    (Menger's vertex-split flow, kept as the test oracle in
+    [test/oracle.ml]) is quadratic.
     [Error] joins one message per violation, last vertex first. *)

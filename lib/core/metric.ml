@@ -95,64 +95,10 @@ let merge_solver a b =
           s_cert_time = x.s_cert_time +. y.s_cert_time;
         }
 
-let merge_reduction a b =
-  match (a, b) with
-  | None, r | r, None -> r
-  | Some x, Some y ->
-      Some
-        {
-          r_universe = x.r_universe + y.r_universe;
-          r_classes = x.r_classes + y.r_classes;
-          r_benign = x.r_benign + y.r_benign;
-          r_cone_sum = x.r_cone_sum + y.r_cone_sum;
-          r_cone_max = max x.r_cone_max y.r_cone_max;
-        }
-
 let merge_lanes a b =
   match (a, b) with
   | None, l | l, None -> l
   | Some x, Some y -> Some (Engine.lane_stats_add x y)
-
-let merge_pairs a b =
-  match (a, b) with
-  | None, p | p, None -> p
-  | Some x, Some y ->
-      Some
-        {
-          p_classes = x.p_classes + y.p_classes;
-          p_class_pairs = x.p_class_pairs + y.p_class_pairs;
-          p_diagonal = x.p_diagonal + y.p_diagonal;
-          p_disjoint = x.p_disjoint + y.p_disjoint;
-          p_stacked = x.p_stacked + y.p_stacked;
-          p_stacks = x.p_stacks + y.p_stacks;
-        }
-
-(* Merge two partial results (weighted sums are kept internally as
-   averages times weight, so recombine carefully).  The evaluation paths
-   below merge their integer accumulators instead, which is exact; this
-   float-level recombination is kept for callers composing finished
-   results. *)
-let merge a b =
-  {
-    worst_segments = min a.worst_segments b.worst_segments;
-    avg_segments =
-      ((a.avg_segments *. float_of_int a.total_weight)
-      +. (b.avg_segments *. float_of_int b.total_weight))
-      /. float_of_int (a.total_weight + b.total_weight);
-    worst_bits = min a.worst_bits b.worst_bits;
-    avg_bits =
-      ((a.avg_bits *. float_of_int a.total_weight)
-      +. (b.avg_bits *. float_of_int b.total_weight))
-      /. float_of_int (a.total_weight + b.total_weight);
-    faults = a.faults + b.faults;
-    total_weight = a.total_weight + b.total_weight;
-    steals = a.steals + b.steals;
-    solver = merge_solver a.solver b.solver;
-    reduction = merge_reduction a.reduction b.reduction;
-    lanes = merge_lanes a.lanes b.lanes;
-    pairs = merge_pairs a.pairs b.pairs;
-    pair_lanes = merge_lanes a.pair_lanes b.pair_lanes;
-  }
 
 (* Integer accumulation of per-fault accessible counts.  All fields are
    exact integers folded with commutative operations (min / sum), so the
@@ -558,33 +504,6 @@ let check_warm warm net what =
       invalid_arg (what ^ ": warm state built for a different netlist")
   | _ -> ()
 
-let evaluate_faults ctx faults =
-  let net = Engine.netlist ctx in
-  let acc = iacc_create () in
-  List.iter
-    (fun f ->
-      let v = Engine.analyze ctx (Some f) in
-      let segs, bits = count_verdict net v in
-      iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-    faults;
-  iacc_result ~what:"Metric.evaluate_faults" ~nsegs:(Netlist.num_segments net)
-    ~nbits:(Netlist.total_bits net) ~steals:0 ~solver:None ~reduction:None acc
-
-let evaluate_faults_bmc sess faults =
-  let net = Bmc.netlist (Bmc.Session.model sess) in
-  let nsegs = Netlist.num_segments net in
-  let targets = List.init nsegs Fun.id in
-  let acc = iacc_create () in
-  List.iter
-    (fun f ->
-      let vs = Bmc.Session.check_targets sess ~fault:f targets in
-      let segs, bits = count_bmc net vs in
-      iacc_add acc ~w:(Fault.weight net f) ~n:1 ~segs ~bits)
-    faults;
-  iacc_result ~what:"Metric.evaluate_faults_bmc" ~nsegs
-    ~nbits:(Netlist.total_bits net) ~steals:0
-    ~solver:(solver_of_session sess) ~reduction:None acc
-
 (* Per-domain partial of the collapsed paths: accumulator plus the cone
    statistics the domain observed. *)
 type red_state = {
@@ -641,63 +560,68 @@ let class_counts classes =
         else benign ))
     (0, 0) classes
 
-(* Full-universe evaluation through the reduction layer: equivalence
-   classes stand in for their members (weights already summed by
-   {!Fault.collapse}) and the class counts come from lane-parallel
-   batch sweeps — up to [Engine.lane_width] classes share one seeded
-   fixpoint ([Engine.lane_batch_counts], bit-identical per lane to the
-   scalar [Engine.analyze_delta]); the classes the scalar fast paths
-   answer in O(1) never occupy a lane and are folded in chunks.  One
-   batch (or one fast chunk) is one steal unit of the work-stealing
-   queue, and the accumulators are integers, so the result stays
-   bit-identical however the items land on domains.  Context and
-   baseline are immutable after construction, so all domains share
-   them. *)
-type lane_item = L_fast of int array | L_batch of int array
+(* ---- the structural sweep scheduler ----
 
-let lane_fast_chunk = 256
+   Both structural sweeps ask one question — the counts of many
+   summaries against one stacked base — so they share one plan and one
+   step.  A row is such a base: the fault-free one ([Engine.of_baseline])
+   for the single-fault sweep, one secondary baseline per interacting
+   first class for the pair sweep.  [Engine.lane_plan] splits a row's
+   columns into lane batches of up to [Engine.lane_width] summaries
+   sharing one seeded fixpoint and the classes the scalar fast paths
+   answer in O(1), folded in chunks.  One batch or one chunk is one
+   steal unit: batch-granular, so stealing never shreds a fixpoint and a
+   heavy row's batches spread across domains.  The accumulators are
+   integers, so the result is bit-identical however the items land. *)
+type sweep_item = {
+  si_row : int;
+  si_fast : bool;       (* fast-path columns, else one lane batch *)
+  si_cols : int array;  (* indices into the sweep's summary array *)
+}
 
-let lane_items base sms =
-  let fast, batches = Engine.lane_plan base sms in
-  let rec chunks acc l =
-    if l = [] then List.rev acc
-    else
-      let rec take n acc' l =
-        match l with
-        | x :: rest when n > 0 -> take (n - 1) (x :: acc') rest
-        | _ -> (List.rev acc', l)
-      in
-      let c, rest = take lane_fast_chunk [] l in
-      chunks (L_fast (Array.of_list c) :: acc) rest
+let fast_chunk = 256
+
+(* The items of every [(row, cols)]: its lane batches, then its fast
+   columns in chunks of [fast_chunk], rows in list order. *)
+let sweep_items base sms rows =
+  let items = ref [] in
+  let add si_row si_fast si_cols =
+    items := { si_row; si_fast; si_cols } :: !items
   in
-  Array.of_list
-    (List.map (fun b -> L_batch b) batches @ chunks [] fast)
-
-(* One steal unit.  Counts come straight from the engine — the fast
-   paths from the baseline counts, the batches from the lane words — so
-   a sweep builds no per-class verdict array, and [ws] (the worker's
-   batch workspace, allocated once in [init]) serves every batch. *)
-let lane_step ctx stk ~weights ~members sms (rs, ws) =
-  let add i ~segs ~bits ~cone =
-    red_note rs cone;
-    iacc_add rs.rs_acc ~w:weights.(i) ~n:members.(i) ~segs ~bits
-  in
-  function
-  | L_fast idxs ->
-      red_lanes rs
-        { Engine.lane_stats_zero with Engine.ls_fast = Array.length idxs };
-      Array.iter
-        (fun i ->
-          let segs, bits, cone = Engine.delta_counts ctx stk sms.(i) in
-          add i ~segs ~bits ~cone)
-        idxs
-  | L_batch idxs ->
-      let batch = Array.map (fun i -> sms.(i)) idxs in
-      let st =
-        Engine.lane_batch_counts ctx ws stk batch (fun l segs bits cone ->
-            add idxs.(l) ~segs ~bits ~cone)
+  List.iter
+    (fun (row, cols) ->
+      let fast, batches =
+        Engine.lane_plan base (Array.map (fun j -> sms.(j)) cols)
       in
-      red_lanes rs st
+      List.iter (fun b -> add row false (Array.map (Array.get cols) b)) batches;
+      let fast = Array.of_list fast in
+      let n = Array.length fast in
+      for c = 0 to ((n + fast_chunk - 1) / fast_chunk) - 1 do
+        let lo = c * fast_chunk in
+        add row true
+          (Array.init (min fast_chunk (n - lo)) (fun t -> cols.(fast.(lo + t))))
+      done)
+    rows;
+  Array.of_list (List.rev !items)
+
+(* One steal unit against its row's base [stk]: the fast paths count
+   from the stacked counts, a batch from the lane words in the worker's
+   reused workspace [ws], and every column's counts go to
+   [add col segs bits cone] — no verdict array is built.  Returns the
+   unit's lane statistics. *)
+let sweep_step ctx ws stk sms it add =
+  if it.si_fast then begin
+    Array.iter
+      (fun j ->
+        let segs, bits, cone = Engine.delta_counts ctx stk sms.(j) in
+        add j segs bits cone)
+      it.si_cols;
+    { Engine.lane_stats_zero with Engine.ls_fast = Array.length it.si_cols }
+  end
+  else
+    Engine.lane_batch_counts ctx ws stk
+      (Array.map (fun j -> sms.(j)) it.si_cols)
+      (fun l segs bits cone -> add it.si_cols.(l) segs bits cone)
 
 (* The sweep keeps only the summaries and two int arrays of the classes:
    a cold evaluation collapses without member lists
@@ -724,11 +648,15 @@ let evaluate_reduced_structural ~domains ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
   let stk = Engine.of_baseline base in
-  let items = lane_items base sms in
+  let items = sweep_items base sms [ (0, Array.init nclasses Fun.id) ] in
   let partials =
     steal_map ~domains items
       ~init:(fun _ -> (red_state (), Engine.lane_workspace ctx))
-      ~step:(lane_step ctx stk ~weights ~members sms)
+      ~step:(fun (rs, ws) it ->
+        red_lanes rs
+          (sweep_step ctx ws stk sms it (fun i segs bits cone ->
+               red_note rs cone;
+               iacc_add rs.rs_acc ~w:weights.(i) ~n:members.(i) ~segs ~bits)))
       ~finish:(fun (rs, _) -> (rs, None))
   in
   finish_partials ~what:"Metric.evaluate" ~net ~universe
@@ -886,7 +814,8 @@ let evaluate ?sample ?(domains = 1) ?(engine = `Structural) ?(reduce = true)
      segments the partner lost — O(min lost), no fixpoint;
    - interacting regions: the first class's faulty state is computed once
      per row as a secondary baseline ({!Engine.stack}) and the second
-     summary's cone delta runs on top ({!Engine.analyze_delta_on}).
+     summaries' cone deltas run on top, lane-batched by the structural
+     sweep scheduler above.
 
    Everything is integer-exact, so the sweep is bit-identical to the brute
    pair enumeration, sequentially and across domains. *)
@@ -1108,27 +1037,12 @@ let pair_interact_add pq ps i j ~segs ~bits =
     ~n:(pq.pq_members.(i) * pq.pq_members.(j))
     ~segs ~bits
 
-(* The row [i]'s pair arithmetic shared by both engines: the diagonal and
-   the disjoint fast path are pure counting; [interact j] supplies the
-   accessible counts of an interacting pair (i, j). *)
-let pair_row pq ps i ~interact =
-  let nc = Array.length pq.pq_sms in
-  pair_diagonal_add pq ps i;
-  for j = i + 1 to nc - 1 do
-    if pair_disjoint_gates pq i j then pair_disjoint_add pq ps i j
-    else begin
-      let segs, bits = interact j in
-      pair_interact_add pq ps i j ~segs ~bits
-    end
-  done
-
-(* [pair_row] with the interacting partners DEFERRED instead of
-   evaluated in place: the lane scheduler's discovery pass, which runs
-   the gates and the pure counting exactly once and returns the
-   interacting column indices (ascending) for the lane-batch planner.
-   [buf] is the worker's scratch, grown on demand and reused by every
-   row, so a row allocates only its result. *)
-let pair_row_defer pq ps buf i =
+(* Row [i]'s pair arithmetic shared by both engines: the gates, the
+   diagonal and the disjoint fast path (pure counting) run here exactly
+   once, and the interacting column indices (ascending) are returned for
+   the caller's engine.  [buf] is the worker's scratch, grown on demand
+   and reused by every row, so a row allocates only its result. *)
+let pair_row pq ps buf i =
   let nc = Array.length pq.pq_sms in
   pair_diagonal_add pq ps i;
   let n = ref 0 in
@@ -1181,15 +1095,6 @@ let finish_pair_partials ~net ~nclasses partials =
     ~nbits:(Netlist.total_bits net) ~steals:!steals ~solver:!solver
     ~reduction:None acc
 
-(* Steal units of the lane-parallel pair sweep: one fast-path chunk or
-   one lane batch of second summaries against one row's secondary
-   baseline.  Batch-granular (not row-granular) so work stealing never
-   shreds a batch: a domain claims whole fixpoints, and a heavy row's
-   batches spread across domains instead of serializing on one. *)
-type pair_item =
-  | Pi_scalar of int * int array  (* row, fast-path partner columns *)
-  | Pi_batch of int * int array   (* row, one lane batch of columns *)
-
 (* The per-model stack cache: served from the warm state for full
    sweeps (the cached column indices refer to the warm class array,
    exactly like [w_pair_prep]), private to the evaluation otherwise. *)
@@ -1205,8 +1110,7 @@ let pair_stacks_of warm ~full ~model =
               sc)
   | _ -> stack_cache ()
 
-let evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model net
-    faults =
+let evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net faults =
   let ctx = ctx_of warm net in
   let base = base_of warm ctx in
   (* The phase-1 probe tables are a deterministic function of the netlist
@@ -1271,111 +1175,45 @@ let evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model net
         (classes, pq, prep_steals)
   in
   let nc = Array.length classes in
-  if not lanes then begin
-    (* Scalar ablation path (--no-pair-lanes): the pre-lane scheduler —
-       row-granular sweep over first classes, each row lazily building
-       its secondary baseline the first time it meets an interacting
-       partner.  Kept verbatim as the oracle the lane path is
-       property-tested (and benched) against. *)
-    let partials =
-      steal_map ~domains (Array.init nc Fun.id)
-        ~init:(fun _ -> pair_state ())
-        ~step:(fun ps i ->
-          let stk = ref None in
-          pair_row pq ps i ~interact:(fun j ->
-              let s =
-                match !stk with
-                | Some s -> s
-                | None ->
-                    let s = Engine.stack ctx base pq.pq_sms.(i) in
-                    ps.ps_stacks <- ps.ps_stacks + 1;
-                    stk := Some s;
-                    s
-              in
-              let v, _ = Engine.analyze_delta_on ctx s pq.pq_sms.(j) in
-              count_verdict net v))
-        ~finish:(fun ps -> (ps, None))
-    in
-    let r = finish_pair_partials ~net ~nclasses:nc partials in
-    { r with steals = r.steals + prep_steals }
-  end
-  else begin
-    (* Phase 2a: discovery — run the disjointness gates and the pure
-       counting (diagonal + disjoint) once per row, deferring the
-       interacting columns.  Rows write disjoint slots of [inter], so
-       the domains share the array. *)
-    let inter = Array.make nc [||] in
-    let partials_a =
-      steal_map ~domains (Array.init nc Fun.id)
-        ~init:(fun _ -> (pair_state (), ref [||]))
-        ~step:(fun (ps, buf) i -> inter.(i) <- pair_row_defer pq ps buf i)
-        ~finish:(fun (ps, _) -> (ps, None))
-    in
-    (* Phase 2b: lane-batch-granular steal units.  Per interacting row,
-       [Engine.lane_plan] shape-groups the partner summaries (fast
-       classes aside, dead-port batches apart) and every batch becomes
-       one item; the row's secondary baseline is built once, on first
-       use, by whichever domain gets there first. *)
-    let items =
-      let acc = ref [] in
-      for i = 0 to nc - 1 do
-        let js = inter.(i) in
-        if Array.length js > 0 then begin
-          let sms = Array.map (fun j -> pq.pq_sms.(j)) js in
-          let fast, batches = Engine.lane_plan base sms in
-          if fast <> [] then
-            acc :=
-              Pi_scalar (i, Array.of_list (List.map (Array.get js) fast))
-              :: !acc;
-          List.iter
-            (fun idxs -> acc := Pi_batch (i, Array.map (Array.get js) idxs) :: !acc)
-            batches
-        end
-      done;
-      Array.of_list (List.rev !acc)
-    in
-    let sc = pair_stacks_of warm ~full ~model in
-    let partials_b =
-      steal_map ~domains items
-        ~init:(fun _ -> (pair_state (), Engine.lane_workspace ctx))
-        ~step:(fun (ps, ws) item ->
-          let stack_for i =
-            let s, built =
-              stack_cached sc
-                (fun i -> Engine.stack ctx base pq.pq_sms.(i))
-                i
-            in
-            if built then ps.ps_stacks <- ps.ps_stacks + 1;
-            s
-          in
-          match item with
-          | Pi_scalar (i, js) ->
-              let stk = stack_for i in
-              Array.iter
-                (fun j ->
-                  let segs, bits, _ = Engine.delta_counts ctx stk pq.pq_sms.(j) in
-                  pair_interact_add pq ps i j ~segs ~bits)
-                js;
-              ps.ps_lanes <-
-                merge_lanes ps.ps_lanes
-                  (Some
-                     {
-                       Engine.lane_stats_zero with
-                       Engine.ls_fast = Array.length js;
-                     })
-          | Pi_batch (i, js) ->
-              let stk = stack_for i in
-              let batch = Array.map (fun j -> pq.pq_sms.(j)) js in
-              let st =
-                Engine.lane_batch_counts ctx ws stk batch
-                  (fun l segs bits _ -> pair_interact_add pq ps i js.(l) ~segs ~bits)
-              in
-              ps.ps_lanes <- merge_lanes ps.ps_lanes (Some st))
-        ~finish:(fun (ps, _) -> (ps, None))
-    in
-    let r = finish_pair_partials ~net ~nclasses:nc (partials_a @ partials_b) in
-    { r with steals = r.steals + prep_steals }
-  end
+  (* Phase 2a: discovery — run the disjointness gates and the pure
+     counting (diagonal + disjoint) once per row, deferring the
+     interacting columns.  Rows write disjoint slots of [inter], so the
+     domains share the array. *)
+  let inter = Array.make nc [||] in
+  let partials_a =
+    steal_map ~domains (Array.init nc Fun.id)
+      ~init:(fun _ -> (pair_state (), ref [||]))
+      ~step:(fun (ps, buf) i -> inter.(i) <- pair_row pq ps buf i)
+      ~finish:(fun (ps, _) -> (ps, None))
+  in
+  (* Phase 2b: every interacting row is a row of the structural sweep
+     scheduler over its secondary baseline, built once, on first use, by
+     whichever domain gets there first. *)
+  let rows =
+    List.filter
+      (fun (_, js) -> Array.length js > 0)
+      (List.init nc (fun i -> (i, inter.(i))))
+  in
+  let items = sweep_items base pq.pq_sms rows in
+  let sc = pair_stacks_of warm ~full ~model in
+  let partials_b =
+    steal_map ~domains items
+      ~init:(fun _ -> (pair_state (), Engine.lane_workspace ctx))
+      ~step:(fun (ps, ws) it ->
+        let i = it.si_row in
+        let stk, built =
+          stack_cached sc (fun i -> Engine.stack ctx base pq.pq_sms.(i)) i
+        in
+        if built then ps.ps_stacks <- ps.ps_stacks + 1;
+        let st =
+          sweep_step ctx ws stk pq.pq_sms it (fun j segs bits _ ->
+              pair_interact_add pq ps i j ~segs ~bits)
+        in
+        ps.ps_lanes <- merge_lanes ps.ps_lanes (Some st))
+      ~finish:(fun (ps, _) -> (ps, None))
+  in
+  let r = finish_pair_partials ~net ~nclasses:nc (partials_a @ partials_b) in
+  { r with steals = r.steals + prep_steals }
 
 let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
     ~model net faults =
@@ -1450,9 +1288,10 @@ let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
       ~init:(fun _ ->
         let sess = session_of ~inprocess warm ~certify net in
         let base_vs = Bmc.Session.check_targets_base sess targets in
-        (sess, base_vs, pair_state ()))
-      ~step:(fun (sess, base_vs, ps) i ->
-        pair_row pq ps i ~interact:(fun j ->
+        (sess, base_vs, pair_state (), ref [||]))
+      ~step:(fun (sess, base_vs, ps, buf) i ->
+        Array.iter
+          (fun j ->
             (* The restriction must be the cone of the MERGED summary:
                with tight cones the union of the two single-fault taints
                can undershoot the pair's (interaction can kill paths both
@@ -1473,8 +1312,10 @@ let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
                 ~fallback:(fun t -> base_vs.(t))
                 targets
             in
-            count_bmc net vs))
-      ~finish:(fun (sess, _, ps) ->
+            let segs, bits = count_bmc net vs in
+            pair_interact_add pq ps i j ~segs ~bits)
+          (pair_row pq ps buf i))
+      ~finish:(fun (sess, _, ps, _) ->
         let sv = solver_of_session sess in
         release_session warm sess;
         (ps, sv))
@@ -1488,8 +1329,7 @@ let evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
 
 let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
     ?(engine = `Structural) ?(exhaustive = false) ?(reduce = true)
-    ?(certify = false) ?(inprocess = true) ?(lanes = true)
-    ?(model = Fault.Stuck) ?warm net =
+    ?(certify = false) ?(inprocess = true) ?(model = Fault.Stuck) ?warm net =
   if certify && engine <> `Bmc then
     invalid_arg "Metric.evaluate_pairs: ~certify:true requires ~engine:`Bmc";
   if model = Fault.Transient then
@@ -1503,8 +1343,8 @@ let evaluate_pairs ?(sample = 37) ?fault_sample ?(domains = 1)
   if exhaustive && reduce then
     match engine with
     | `Structural ->
-        evaluate_pairs_reduced_structural ~domains ?warm ~full ~lanes ~model
-          net faults
+        evaluate_pairs_reduced_structural ~domains ?warm ~full ~model net
+          faults
     | `Bmc ->
         evaluate_pairs_reduced_bmc ~domains ~certify ~inprocess ?warm ~full
           ~model net faults

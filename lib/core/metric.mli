@@ -18,7 +18,8 @@
       weight and member count, so the aggregates are unchanged);
     - each class verdict is computed as a cone-of-influence delta against
       the fault-free baseline — only segments the fault can disturb are
-      re-analyzed ({!Ftrsn_access.Engine.analyze_delta}, or
+      re-analyzed (lane batches of {!Ftrsn_access.Engine.lane_batch_counts}
+      on {!Ftrsn_access.Engine.of_baseline}, or
       [Bmc.Session.check_targets ~only] for the BMC engine), the
       fault-free verdict is spliced in for the rest.
 
@@ -115,10 +116,9 @@ type result = {
   pairs : pair_stats option;
       (** [Some] iff the exhaustive reduced pair sweep produced the result *)
   pair_lanes : Ftrsn_access.Engine.lane_stats option;
-      (** [Some] iff the lane-parallel stacked pair path produced the
-          interacting-pair verdicts (structural exhaustive sweep with
-          [lanes = true]): one entry per secondary-baseline batch swept
-          by {!Ftrsn_access.Engine.analyze_lane_batch_on}, plus the
+      (** [Some] iff the exhaustive reduced structural pair sweep
+          produced the result: one entry per secondary-baseline batch
+          swept by {!Ftrsn_access.Engine.lane_batch_counts}, plus the
           fast-path partner deltas in [ls_fast].  Deterministic — a
           function of the class universe and the disjointness gates, not
           of scheduling. *)
@@ -226,17 +226,6 @@ val evaluate :
     model's universe is empty (a network without shadow bits has no
     transient faults), whatever the engine, reduction or domain count. *)
 
-val evaluate_faults :
-  Ftrsn_access.Engine.ctx -> Ftrsn_fault.Fault.t list -> result
-(** The structural metric restricted to a given fault list (shared
-    context), brute-force and sequential. *)
-
-val evaluate_faults_bmc :
-  Ftrsn_bmc.Bmc.Session.t -> Ftrsn_fault.Fault.t list -> result
-(** The BMC metric restricted to a given fault list, reusing the given
-    incremental session (its cumulative stats are reported in
-    [result.solver]). *)
-
 val evaluate_pairs :
   ?sample:int ->
   ?fault_sample:int ->
@@ -246,7 +235,6 @@ val evaluate_pairs :
   ?reduce:bool ->
   ?certify:bool ->
   ?inprocess:bool ->
-  ?lanes:bool ->
   ?model:Ftrsn_fault.Fault.model ->
   ?warm:warm ->
   Ftrsn_rsn.Netlist.t ->
@@ -267,20 +255,18 @@ val evaluate_pairs :
     answered arithmetically from the two single-fault verdicts, whose
     pointwise AND the pair verdict provably equals; only the remaining
     interacting pairs run an engine.  On the structural engine the
-    interacting pairs are lane-parallel by default ([lanes], default
-    [true]): pairs are grouped by first class, each group's secondary
-    baseline is built once (memoized in an LRU-bounded stack cache,
-    shared with the warm state's phase-1 pair tables on full sweeps)
-    and up to {!Ftrsn_access.Engine.lane_width} second classes sweep
-    against it per fixpoint
-    ({!Ftrsn_access.Engine.analyze_lane_batch_on}); [lanes:false] is the
-    scalar ablation (one {!Ftrsn_access.Engine.analyze_delta_on} per
-    pair).  The BMC engine runs a cone-restricted SAT sweep of each
-    merged summary.  The result is bit-identical to the brute pair
-    enumeration ([reduce:false]) — and across [lanes] — in every field,
-    sequentially and for any [domains]; [result.pairs] reports the
-    dispatch statistics and [result.pair_lanes] the stacked-batch lane
-    statistics.
+    interacting pairs are lane-parallel: pairs are grouped by first
+    class, each group's secondary baseline is built once (memoized in an
+    LRU-bounded stack cache, shared with the warm state's phase-1 pair
+    tables on full sweeps) and up to {!Ftrsn_access.Engine.lane_width}
+    second classes sweep against it per fixpoint
+    ({!Ftrsn_access.Engine.lane_batch_counts}) — the single-fault
+    sweep's scheduler, with the secondary baseline as the row's base.
+    The BMC engine runs a cone-restricted SAT sweep of each merged
+    summary.  The result is bit-identical to the brute pair enumeration
+    ([reduce:false]) in every field, sequentially and for any [domains];
+    [result.pairs] reports the dispatch statistics and
+    [result.pair_lanes] the stacked-batch lane statistics.
 
     Without [exhaustive] the quadratic universe is subsampled: [sample]
     (default 37) keeps every k-th pair of a deterministic enumeration —
@@ -294,10 +280,10 @@ val evaluate_pairs :
     the discovery pass (gates + pure counting) steals first-class rows,
     then each secondary-baseline lane batch is one steal unit — so
     stealing never shreds a batch, and a heavy row's batches spread
-    across domains instead of serializing on one ([lanes:false] falls
-    back to row granularity).  Pair costs are highly skewed (port and
-    trunk faults force whole-graph re-analysis), which used to leave
-    the statically-chunked first domain the straggler.
+    across domains instead of serializing on one.  Pair costs are
+    highly skewed (port and trunk faults force whole-graph
+    re-analysis), which used to leave the statically-chunked first
+    domain the straggler.
 
     [certify] behaves as in {!evaluate} (BMC engine only). *)
 
@@ -319,18 +305,4 @@ val steal_map :
     use integer accumulators so their results are bit-identical to the
     sequential fold. *)
 
-val merge : result -> result -> result
-(** Recombination of two partial results (min of worsts, weighted mean of
-    averages, sums of counts, solver and reduction stats).  The averages
-    recombine through floats, so prefer a single [evaluate] call when
-    bit-exactness matters — the internal accumulators are integers and
-    need no such recombination. *)
-
 val pp : Format.formatter -> result -> unit
-
-val pp_reduction_stats : Format.formatter -> reduction_stats -> unit
-
-val pp_pair_stats : Format.formatter -> pair_stats -> unit
-
-val pp_lane_stats :
-  Format.formatter -> Ftrsn_access.Engine.lane_stats -> unit

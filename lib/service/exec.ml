@@ -135,7 +135,7 @@ let run_exn pool = function
               ~domains:q.Query.pq_domains ~engine:q.Query.pq_engine
               ~exhaustive:(q.Query.pq_pair_sample = None)
               ~reduce:q.Query.pq_reduce ~inprocess:q.Query.pq_inprocess
-              ~lanes:q.Query.pq_lanes ~model:q.Query.pq_model
+              ~model:q.Query.pq_model
               ~warm:(Pool.warm e) (Pool.net e)
           in
           Response.Metric_r

@@ -54,10 +54,11 @@ type pairs_q = {
   pq_reduce : bool;
   pq_inprocess : bool;
   pq_lanes : bool;
-      (** lane-parallel interacting-pair sweep (wire field
-          ["pair_lanes"], default true; emitted only when disabled).
-          [false] forces the scalar stacked path — same results,
-          ablation/debug only *)
+      (** ignored: the interacting-pair sweep is always lane-parallel.
+          Decode sets it to [true] whatever the request's ["pair_lanes"]
+          key says, and encode never emits the key.  The field remains
+          only because the benchmark's serve workload builds this record
+          literally. *)
   pq_model : Ftrsn_fault.Fault.model;
       (** as [mq_model]; [Transient] is rejected with the
           [unsupported] error (pairs undefined) *)

@@ -581,7 +581,8 @@ let test_vectors_roundtrip_consistent () =
 
 (* Property: the lane-parallel batch sweep returns, class for class, the
    verdict of the scalar engine — on random nets, which exercise partial
-   batches, mixed shapes and the fast paths together. *)
+   batches, mixed shapes and the fast paths together.  The classes are
+   planned as the metric plans its single-fault row ([Oracle.lane_verdicts]). *)
 let prop_lanes_equal_scalar =
   QCheck.Test.make
     ~name:"lane verdicts = per-class Engine.analyze (random nets)" ~count:12
@@ -594,19 +595,22 @@ let prop_lanes_equal_scalar =
       let classes =
         Array.of_list (Fault.collapse net (Fault.universe net))
       in
-      let vs, st = Engine.analyze_lanes_stats ctx classes in
+      let vs, st =
+        Oracle.lane_verdicts ctx (Engine.baseline ctx)
+          (Array.map (fun c -> c.Fault.cls_summary) classes)
+      in
       Array.length vs = Array.length classes
       && st.Engine.ls_fast + st.Engine.ls_lanes = Array.length classes
       && Array.for_all2
-           (fun v c -> v = Engine.analyze ctx (Some c.Fault.cls_rep))
+           (fun (v, _) c -> v = Engine.analyze ctx (Some c.Fault.cls_rep))
            vs classes)
 
 (* Property: the lane sweep rooted at a STACKED baseline returns, class
    for class, exactly what the scalar stacked delta returns — verdict
    and cone size both.  Every class in turn plays the primary (so the
    stacked base runs through all shapes, including glitchy ones, where
-   [analyze_lanes_on] must degrade to the scalar path), and the whole
-   class universe plays the secondaries. *)
+   [Oracle.lane_verdicts] answers scalar), and the whole class universe
+   plays the secondaries. *)
 let prop_lanes_on_equal_delta_on =
   QCheck.Test.make
     ~name:"stacked lane verdicts = Engine.analyze_delta_on (random nets)"
@@ -632,7 +636,7 @@ let prop_lanes_on_equal_delta_on =
       let i = ref 0 in
       while !ok && !i < n do
         let stk = Engine.stack ctx base sms.(!i) in
-        let vs, st = Engine.analyze_lanes_on ctx stk sms in
+        let vs, st = Oracle.lane_verdicts ctx base ~primary:sms.(!i) sms in
         ok :=
           Array.length vs = n
           && st.Engine.ls_fast + st.Engine.ls_lanes = n
@@ -1052,6 +1056,46 @@ let test_lane_alloc_guard () =
              done)))
     [ ("u226", net); ("u226-ft", ft) ]
 
+(* The lane sweep's input checks, each reached through the public entry
+   that feeds it: an empty and an oversized batch, a glitch summary, a
+   glitchy stacked base, and a workspace of another context. *)
+let test_lane_sweep_rejects () =
+  let net = small_sib () in
+  let ctx = Engine.make_ctx net in
+  let base = Engine.baseline ctx in
+  let stk = Engine.of_baseline base in
+  let find model p =
+    (List.find (fun c -> p c.Fault.cls_summary)
+       (Fault.collapse net (Fault.universe ~model net)))
+      .Fault.cls_summary
+  in
+  let general =
+    find Fault.Stuck (fun sm -> Fault.summary_shape sm = Fault.General)
+  in
+  let glitch = find Fault.Transient (fun sm -> sm.Fault.sm_glitch_shadow <> []) in
+  let rejects what f =
+    Alcotest.check_raises what
+      (Invalid_argument ("Engine.lane_sweep: " ^ what))
+      (fun () -> ignore (f ()))
+  in
+  rejects "batch size" (fun () -> Engine.analyze_lane_batch_on ctx stk [||]);
+  rejects "batch size" (fun () ->
+      Engine.analyze_lane_batch_on ctx stk
+        (Array.make (Engine.lane_width + 1) general));
+  rejects "glitch summary (scalar only)" (fun () ->
+      Engine.analyze_lane_batch_on ctx stk [| general; glitch |]);
+  rejects "glitch stacked base (scalar only)" (fun () ->
+      Engine.analyze_lane_batch_on ctx (Engine.stack ctx base glitch)
+        [| general |]);
+  let u226 =
+    Ftrsn_itc02.Itc02.rsn (Option.get (Ftrsn_itc02.Itc02.find "u226"))
+  in
+  rejects "workspace of another context" (fun () ->
+      Engine.lane_batch_counts ctx
+        (Engine.lane_workspace (Engine.make_ctx u226))
+        stk [| general |]
+        (fun _ _ _ _ -> ()))
+
 let suite =
   [
     Alcotest.test_case "fault-free: all accessible" `Quick
@@ -1124,4 +1168,6 @@ let suite =
     Testseed.to_alcotest_in ~file:"test_access" prop_csr_random;
     Alcotest.test_case "lane batch allocation guard (u226, FT)" `Quick
       test_lane_alloc_guard;
+    Alcotest.test_case "lane sweep rejects invalid batches" `Quick
+      test_lane_sweep_rejects;
   ]

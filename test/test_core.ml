@@ -83,14 +83,14 @@ let test_augmented_two_connected () =
       check bool_t
         (Printf.sprintf "segment %s two-connected" (Netlist.segment_name net s))
         true
-        (Ftrsn_topo.Menger.two_connected_through g ~root:0 ~sink:1 v)
+        (Oracle.Menger.two_connected_through g ~root:0 ~sink:1 v)
   done
 
 (* The pre-dominator [Augment.verify]: one Menger max-flow per vertex and
    side, same checks, same messages in the same order.  Kept as the
    oracle the dominator-tree check is compared against. *)
 let menger_verify (p : Augment.problem) new_edges =
-  let module Menger = Ftrsn_topo.Menger in
+  let module Menger = Oracle.Menger in
   let g = Digraph.copy p.Augment.graph in
   List.iter (fun (i, j) -> Digraph.add_edge g i j) new_edges;
   let n = Digraph.vertex_count g in
@@ -659,9 +659,7 @@ let prop_pairs_exhaustive_exact_structural =
       let red = Metric.evaluate_pairs ~exhaustive:true net in
       let brute = Metric.evaluate_pairs ~exhaustive:true ~reduce:false net in
       let par = Metric.evaluate_pairs ~exhaustive:true ~domains:3 net in
-      let scalar = Metric.evaluate_pairs ~exhaustive:true ~lanes:false net in
-      same_result red brute && same_result red par
-      && same_result red scalar)
+      same_result red brute && same_result red par)
 
 let prop_pairs_exhaustive_exact_bmc =
   QCheck.Test.make
@@ -699,14 +697,8 @@ let test_pairs_exhaustive_u226 () =
     (par.Metric.pairs = red.Metric.pairs && par.Metric.pairs <> None);
   check bool_t "parallel pair-lane stats identical" true
     (par.Metric.pair_lanes = red.Metric.pair_lanes);
-  (* the scalar stacked ablation reproduces the lane sweep bit for bit,
-     and only the lane sweep reports pair-lane counters *)
-  let scalar =
-    Metric.evaluate_pairs ~exhaustive:true ~fault_sample:16 ~lanes:false net
-  in
-  check bool_t "scalar ablation identical" true (same_result red scalar);
-  check bool_t "scalar ablation has no pair-lane stats" true
-    (scalar.Metric.pair_lanes = None);
+  check bool_t "brute run has no pair-lane stats" true
+    (brute.Metric.pair_lanes = None);
   (match red.Metric.pair_lanes with
   | None -> Alcotest.fail "lane sweep must report pair-lane stats"
   | Some l ->

@@ -417,12 +417,7 @@ let test_pairs_models () =
       in
       let reduced = Metric.evaluate_pairs ~exhaustive:true ~model net in
       check_same_result (name "lane-reduced") brute reduced;
-      (* the scalar stacked ablation and the parallel scheduler both
-         reproduce the same bits per model *)
-      let scalar =
-        Metric.evaluate_pairs ~exhaustive:true ~lanes:false ~model net
-      in
-      check_same_result (name "scalar-reduced") brute scalar;
+      (* the parallel scheduler reproduces the same bits per model *)
       let par = Metric.evaluate_pairs ~exhaustive:true ~domains:3 ~model net in
       check_same_result (name "lane-reduced, 3 domains") brute par)
     [ Fault.Bridge; Fault.Select ]

@@ -148,7 +148,7 @@ let sample_queries () =
         pq_model = Fault.Stuck;
         pq_reduce = false;
         pq_inprocess = false;
-        pq_lanes = false;
+        pq_lanes = true;
         pq_with_stats = true;
       };
     Query.Certify
@@ -421,6 +421,43 @@ let test_fault_model_wire () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown fault_model accepted"
 
+(* Wire compatibility for the retired "pair_lanes" ablation key: a pairs
+   request carrying it decodes to the same query as one without it and
+   gets a byte-identical response, and encoding never emits it. *)
+let test_pair_lanes_wire () =
+  let with_key, without_key =
+    match
+      Query.encode
+        (Query.Pairs
+           {
+             Query.pq_net = Lazy.force tiny_spec;
+             pq_fault_sample = None;
+             pq_pair_sample = None;
+             pq_domains = 1;
+             pq_engine = `Structural;
+             pq_model = Fault.Stuck;
+             pq_reduce = true;
+             pq_inprocess = true;
+             pq_lanes = false;
+             pq_with_stats = false;
+           })
+    with
+    | Json.Obj fields as plain ->
+        check bool_t "encode never emits pair_lanes" false
+          (List.mem_assoc "pair_lanes" fields);
+        ( Json.to_string
+            (Json.Obj (fields @ [ ("pair_lanes", Json.Bool false) ])),
+          Json.to_string plain )
+    | _ -> Alcotest.fail "pairs query must encode to an object"
+  in
+  match (Query.decode_line with_key, Query.decode_line without_key) with
+  | Ok (q, _), Ok (q', _) ->
+      check bool_t "pair_lanes:false decodes to the same query" true (q = q');
+      check string_t "byte-identical response"
+        (Response.to_string (Exec.run (Pool.create ()) q'))
+        (Response.to_string (Exec.run (Pool.create ()) q))
+  | _ -> Alcotest.fail "pairs request with pair_lanes rejected"
+
 (* ------------------------------------------------------------------ *)
 (* Pool behaviour                                                      *)
 
@@ -519,19 +556,6 @@ let test_warm_equals_cold () =
           pq_reduce = true;
           pq_inprocess = true;
           pq_lanes = true;
-          pq_with_stats = false;
-        };
-      Query.Pairs
-        {
-          Query.pq_net = Lazy.force tiny_spec;
-          pq_fault_sample = None;
-          pq_pair_sample = None;
-          pq_domains = 1;
-          pq_engine = `Structural;
-          pq_model = Fault.Stuck;
-          pq_reduce = true;
-          pq_inprocess = true;
-          pq_lanes = false;
           pq_with_stats = false;
         };
       Query.Certify
@@ -867,6 +891,8 @@ let suite =
       test_decode_line_errors;
     Alcotest.test_case "query: fault_model wire compatibility" `Quick
       test_fault_model_wire;
+    Alcotest.test_case "query: pair_lanes accepted and ignored" `Quick
+      test_pair_lanes_wire;
     Alcotest.test_case "pool: hits and counters" `Quick
       test_pool_hits_and_counters;
     Alcotest.test_case "pool: LRU eviction under byte budget" `Quick

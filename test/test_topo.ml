@@ -5,7 +5,7 @@ module Digraph = Ftrsn_topo.Digraph
 module Order = Ftrsn_topo.Order
 module Scc = Ftrsn_topo.Scc
 module Acyclic = Ftrsn_topo.Acyclic
-module Menger = Ftrsn_topo.Menger
+module Menger = Oracle.Menger
 module Bitset = Ftrsn_topo.Bitset
 
 let check = Alcotest.check
